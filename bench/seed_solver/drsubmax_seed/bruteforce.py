@@ -1,0 +1,141 @@
+"""Desk-scale ground-truth oracles: exhaustive, grid, and finite-difference.
+
+Independent of the solvers by construction — these never call the solver
+modules and evaluate objectives through their exact set-function values or
+closed forms only.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import product
+from typing import Optional
+
+import numpy as np
+
+from .objective import SAMPLED, ObjectiveSpec
+from .packing_solver import PackingInstance
+from .polymatroid import PolymatroidInstance
+
+SUBSET_ENUM = "subset-enum"
+GRID = "grid"
+FINITE_DIFF = "finite-diff"
+
+_GRID_CHUNK = 200_000
+
+
+@dataclass
+class OracleResult:
+    value: float
+    argmax: object  # frozenset (subset-enum) or np.ndarray (grid)
+    method: str
+    error_bound: float = 0.0
+
+
+def brute_force_matroid_opt(obj: ObjectiveSpec,
+                            pm: PolymatroidInstance) -> OracleResult:
+    """Max exact set value over all independent 0/1 vectors of pm.
+
+    For matroid constraints this equals the fractional optimum of the
+    multilinear relaxation (lossless rounding), so it is a valid reference
+    for fractional solver output too.
+    """
+    n = pm.n
+    if n > 20:
+        raise ValueError("subset enumeration supports n <= 20")
+    best_val = -np.inf
+    best_set = None
+    for mask in range(1 << n):
+        S = [i for i in range(n) if mask >> i & 1]
+        ind = np.zeros(n)
+        ind[S] = 1.0
+        if not pm.membership(ind, 1.0):
+            continue
+        val = obj.set_value(S)
+        if val > best_val:  # first hit wins ties: lexicographic by mask
+            best_val = val
+            best_set = frozenset(S)
+    return OracleResult(value=float(best_val), argmax=best_set,
+                        method=SUBSET_ENUM)
+
+
+def grid_fractional_opt(obj: ObjectiveSpec, inst: PackingInstance,
+                        resolution: float) -> OracleResult:
+    """Exhaustive grid over [0,1]^n restricted to Ax <= (1-eps)1.
+
+    The reported error_bound is n * resolution * max gradient scale, a
+    Lipschitz bound on how far the grid max can sit below the true one.
+    """
+    n = inst.n
+    if n > 4:
+        raise ValueError("grid search supports n <= 4")
+    if resolution <= 0:
+        raise ValueError("resolution must be positive")
+    if obj.kind == SAMPLED:
+        raise ValueError("grid oracle needs a closed-form objective")
+    axis = np.arange(0.0, 1.0 + resolution / 2, resolution)
+    axis = np.minimum(axis, 1.0)
+    rhs = 1.0 - inst.eps
+    best_val = -np.inf
+    best_x = None
+    # slice the grid along the first axis so memory stays bounded at n = 4
+    if n == 1:
+        slabs = [axis[:, None]]
+    else:
+        tail = np.meshgrid(*([axis] * (n - 1)), indexing="ij")
+        tail = np.stack([g.ravel() for g in tail], axis=1)
+        slabs = None
+    for v0 in (axis if n > 1 else [None]):
+        if n > 1:
+            chunk_all = np.column_stack([np.full(tail.shape[0], v0), tail])
+        else:
+            chunk_all = slabs[0]
+        for lo in range(0, chunk_all.shape[0], _GRID_CHUNK):
+            chunk = chunk_all[lo:lo + _GRID_CHUNK]
+            feas = np.all(chunk @ inst.A.T <= rhs + 1e-12, axis=1)
+            if not feas.any():
+                continue
+            chunk = chunk[feas]
+            vals = obj.eval_many(chunk)
+            k = int(np.argmax(vals))
+            if vals[k] > best_val:
+                best_val = float(vals[k])
+                best_x = chunk[k].copy()
+    if best_x is None:
+        best_x = np.zeros(n)
+        best_val = float(obj.eval(best_x))
+    grad_scale = float(np.abs(finite_diff_grad(obj, np.full(n, 0.5), 1e-4)).max()) \
+        if n else 0.0
+    return OracleResult(value=best_val, argmax=best_x, method=GRID,
+                        error_bound=n * resolution * grad_scale)
+
+
+def finite_diff_grad(obj: ObjectiveSpec, x, h: float = 1e-5) -> np.ndarray:
+    """Central differences (F(x + h e_i) - F(x - h e_i)) / (2h)."""
+    x = np.asarray(x, dtype=float)
+    if h <= 0:
+        raise ValueError("h must be positive")
+    if np.any(x < h) or np.any(x > 1.0 - h):
+        raise ValueError("x must lie in (h, 1-h)^n for central differences")
+    g = np.zeros(x.size)
+    for i in range(x.size):
+        up = x.copy(); up[i] += h
+        dn = x.copy(); dn[i] -= h
+        g[i] = (obj.eval(up) - obj.eval(dn)) / (2.0 * h)
+    return g
+
+
+def multilinear_enumeration(obj: ObjectiveSpec, x) -> float:
+    """Exact multilinear value sum_S f(S) prod_{i in S} x_i prod_{i not in S}(1-x_i)."""
+    x = np.minimum(np.asarray(x, dtype=float), 1.0)
+    n = obj.n
+    if n > 20:
+        raise ValueError("enumeration supports n <= 20")
+    total = 0.0
+    for bits in product([0, 1], repeat=n):
+        w = 1.0
+        for i, b in enumerate(bits):
+            w *= x[i] if b else 1.0 - x[i]
+        if w > 0:
+            total += w * obj.set_value([i for i, b in enumerate(bits) if b])
+    return total

@@ -1,0 +1,298 @@
+"""Instance parsing, solver dispatch, report emission, and verification.
+
+Instances and reports are JSON (schemas in docs/formats.md).  Two runs
+with identical instance + flags + seed produce byte-identical reports.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from dataclasses import dataclass
+from typing import Optional, Union
+
+import numpy as np
+
+from .bruteforce import brute_force_matroid_opt, grid_fractional_opt
+from .guessing import solve_with_guessing
+from .matroid_solver import (MatroidSolverConfig, solve_matroid_monotone,
+                             solve_matroid_nonmonotone)
+from .objective import COVERAGE, DIRECTED_CUT, LINEAR, SAMPLED, ObjectiveSpec
+from .packing_solver import (PackingInstance, PackingSolverConfig,
+                             add_box_rows, normalize_packing,
+                             solve_packing_monotone, solve_packing_nonmonotone)
+from .polymatroid import LAMINAR, PARTITION, UNIFORM, PolymatroidInstance
+from .report import (CONVERGED, GUESS_REJECTED, ITERATION_CAP, GuessExhausted,
+                     InvariantViolation, SolveReport)
+
+EXIT_OK = 0
+EXIT_USAGE = 1
+EXIT_GUESS = 2
+EXIT_INVARIANT = 3
+EXIT_ITER_CAP = 4
+
+_EXIT_BY_TERMINATION = {CONVERGED: EXIT_OK, GUESS_REJECTED: EXIT_GUESS,
+                        ITERATION_CAP: EXIT_ITER_CAP}
+
+
+class InstanceError(ValueError):
+    """Malformed instance file; message carries the offending field path."""
+
+
+@dataclass
+class InstanceFile:
+    objective: dict
+    constraint: dict
+    eps: float
+    seed: int
+    known_opt: Optional[float] = None
+
+    def build_objective(self) -> ObjectiveSpec:
+        o = self.objective
+        try:
+            if o["kind"] == LINEAR:
+                return ObjectiveSpec.linear(o["weights"])
+            if o["kind"] == COVERAGE:
+                return ObjectiveSpec.coverage(o["weights"], o["covers"])
+            if o["kind"] == DIRECTED_CUT:
+                return ObjectiveSpec.directed_cut(
+                    o["n"], [tuple(a) for a in o["arcs"]])
+        except (ValueError, KeyError) as exc:
+            raise InstanceError(f"objective: {exc}") from exc
+        raise InstanceError(f"objective.kind: unsupported kind {o['kind']!r}")
+
+    def build_constraint(self, eps: float):
+        c = self.constraint
+        try:
+            if c["type"] == "packing":
+                A = np.zeros((c["m"], c["n"]))
+                for (r, col, v) in c["triplets"]:
+                    A[r, col] = v
+                return normalize_packing(A, eps)
+            if c["type"] == "polymatroid":
+                if c["kind"] == UNIFORM:
+                    return PolymatroidInstance.uniform(c["n"], c["k"])
+                if c["kind"] == PARTITION:
+                    return PolymatroidInstance.partition(
+                        c["n"], c["parts"], c["caps"])
+                if c["kind"] == LAMINAR:
+                    return PolymatroidInstance.laminar(
+                        c["n"], c["sets"], c["caps"])
+                raise InstanceError(
+                    f"constraint.kind: unsupported kind {c['kind']!r}")
+        except InstanceError:
+            raise
+        except (ValueError, KeyError, IndexError) as exc:
+            raise InstanceError(f"constraint: {exc}") from exc
+        raise InstanceError(f"constraint.type: unsupported type {c['type']!r}")
+
+
+def parse_instance(text: Union[str, bytes]) -> InstanceFile:
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InstanceError(
+            f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise InstanceError("top level: expected a JSON object")
+    for key in ("objective", "constraint", "eps"):
+        if key not in data:
+            raise InstanceError(f"{key}: missing required field")
+    obj = data["objective"]
+    con = data["constraint"]
+    if not isinstance(obj, dict) or "kind" not in obj:
+        raise InstanceError("objective: expected an object with a 'kind' field")
+    if not isinstance(con, dict) or "type" not in con:
+        raise InstanceError("constraint: expected an object with a 'type' field")
+    eps = data["eps"]
+    if not isinstance(eps, (int, float)) or eps <= 0:
+        raise InstanceError(f"eps: must be a positive number, got {eps!r}")
+    if con["type"] == "packing":
+        trips = con.get("triplets")
+        if not isinstance(trips, list):
+            raise InstanceError("constraint.triplets: missing or not a list")
+        prev = None
+        for idx, t in enumerate(trips):
+            if not (isinstance(t, list) and len(t) == 3):
+                raise InstanceError(
+                    f"constraint.triplets[{idx}]: expected [row, col, value]")
+            r, c, v = t
+            if not (0 <= r < con.get("m", 0) and 0 <= c < con.get("n", 0)):
+                raise InstanceError(
+                    f"constraint.triplets[{idx}]: index ({r},{c}) out of range")
+            if v < 0:
+                raise InstanceError(
+                    f"constraint.triplets[{idx}]: negative value {v}")
+            if prev is not None and (r, c) <= prev:
+                raise InstanceError(
+                    f"constraint.triplets[{idx}]: not sorted by (row, col) "
+                    "or duplicate entry")
+            prev = (r, c)
+    inst = InstanceFile(objective=obj, constraint=con, eps=float(eps),
+                        seed=int(data.get("seed", 0)),
+                        known_opt=data.get("known_opt"))
+    # surface structural problems (negative weights, non-laminar family,
+    # self-loops) at parse time, not at solve time
+    inst.build_objective()
+    inst.build_constraint(min(inst.eps, 0.05))
+    return inst
+
+
+def emit_instance(inst: InstanceFile) -> str:
+    data = {"objective": inst.objective, "constraint": inst.constraint,
+            "eps": inst.eps, "seed": inst.seed}
+    if inst.known_opt is not None:
+        data["known_opt"] = inst.known_opt
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def _emit_report(report_dict: dict, path: Optional[str]):
+    text = json.dumps(report_dict, sort_keys=True, indent=2) + "\n"
+    sys.stdout.write(text)
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+
+
+def _resolve_monotone(flag: str, obj: ObjectiveSpec) -> bool:
+    if flag == "auto":
+        return obj.monotone
+    want = flag == "true"
+    if want and not obj.monotone:
+        raise InstanceError(
+            "objective is non-monotone; --monotone true is incompatible")
+    return want
+
+
+def _solve(args, kind: str) -> int:
+    with open(args.instance, "rb") as fh:
+        inst = parse_instance(fh.read())
+    eps = args.eps if args.eps is not None else inst.eps
+    if not (0 < eps <= 0.05):
+        raise InstanceError(f"eps: {eps} outside the supported range (0, 0.05]")
+    obj = inst.build_objective()
+    constraint = inst.build_constraint(eps)
+    if kind == "packing" and not isinstance(constraint, PackingInstance):
+        raise InstanceError("constraint.type: solve-packing needs a packing "
+                            "constraint")
+    if kind == "matroid" and not isinstance(constraint, PolymatroidInstance):
+        raise InstanceError("constraint.type: solve-matroid needs a "
+                            "polymatroid constraint")
+    monotone = _resolve_monotone(args.monotone, obj)
+    seed = args.seed if args.seed is not None else inst.seed
+
+    if args.guess == "auto":
+        report = solve_with_guessing(obj, constraint, eps, monotone=monotone,
+                                     seed=seed, max_iterations=args.max_iters,
+                                     parallel=args.wallclock_parallel)
+    else:
+        M = float(args.guess)
+        if kind == "packing":
+            cfg = PackingSolverConfig(eps=eps, M=M, seed=seed,
+                                      max_iterations=args.max_iters)
+            if monotone:
+                report = solve_packing_monotone(obj, constraint, cfg)
+            else:
+                report = solve_packing_nonmonotone(
+                    obj, add_box_rows(constraint), cfg)
+        else:
+            cfg = MatroidSolverConfig(eps=eps, M=M, seed=seed,
+                                      max_inner_iterations=args.max_iters)
+            if monotone:
+                report = solve_matroid_monotone(obj, constraint, cfg)
+            else:
+                report = solve_matroid_nonmonotone(obj, constraint, cfg)
+    _emit_report(report.to_dict(), args.report)
+    return _EXIT_BY_TERMINATION[report.termination]
+
+
+def _verify(args) -> int:
+    with open(args.instance, "rb") as fh:
+        inst = parse_instance(fh.read())
+    eps = args.eps if args.eps is not None else inst.eps
+    if not (0 < eps <= 0.05):
+        raise InstanceError(f"eps: {eps} outside the supported range (0, 0.05]")
+    obj = inst.build_objective()
+    constraint = inst.build_constraint(eps)
+    seed = args.seed if args.seed is not None else inst.seed
+    report = solve_with_guessing(obj, constraint, eps, seed=seed,
+                                 max_iterations=args.max_iters,
+                                 parallel=args.wallclock_parallel)
+    if isinstance(constraint, PackingInstance):
+        oracle = grid_fractional_opt(obj, constraint, resolution=1e-2)
+    else:
+        oracle = brute_force_matroid_opt(obj, constraint)
+    ratio = report.value / oracle.value if oracle.value > 0 else float("inf")
+    out = {"schema": 1, "value": report.value, "opt": oracle.value,
+           "ratio": ratio, "oracle_method": oracle.method,
+           "feasible": report.feasible, "guess_used": report.guess_used}
+    if inst.known_opt is not None:
+        out["known_opt"] = inst.known_opt
+    _emit_report(out, args.report)
+    return _EXIT_BY_TERMINATION[report.termination]
+
+
+def _selftest(args) -> int:
+    from . import selftest
+    ok, checks = selftest.run_quick_suite(seed=args.seed or 0)
+    _emit_report({"schema": 1, "selftest": "ok" if ok else "failed",
+                  "checks": checks}, args.report)
+    return EXIT_OK if ok else EXIT_INVARIANT
+
+
+def _add_common(sub, with_instance=True):
+    if with_instance:
+        sub.add_argument("instance", help="instance JSON file")
+    sub.add_argument("--eps", type=float, default=None,
+                     help="override instance eps (range (0, 0.05])")
+    sub.add_argument("--guess", default="auto",
+                     help="'auto' for the guessing ladder, or a value for M")
+    sub.add_argument("--seed", type=int, default=None)
+    sub.add_argument("--monotone", choices=["auto", "true", "false"],
+                     default="auto")
+    sub.add_argument("--max-iters", type=int, default=None)
+    sub.add_argument("--report", default=None, help="also write the report here")
+    sub.add_argument("--wallclock-parallel", action="store_true",
+                     help="run ladder guesses in concurrent threads")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="drsubmax",
+        description="Low-adaptivity DR-submodular maximization solvers")
+    subs = parser.add_subparsers(dest="command", required=True)
+    _add_common(subs.add_parser("solve-packing"))
+    _add_common(subs.add_parser("solve-matroid"))
+    _add_common(subs.add_parser("verify"))
+    st = subs.add_parser("selftest")
+    st.add_argument("--seed", type=int, default=0)
+    st.add_argument("--report", default=None)
+    args = parser.parse_args(argv)
+
+    try:
+        if args.command == "solve-packing":
+            return _solve(args, "packing")
+        if args.command == "solve-matroid":
+            return _solve(args, "matroid")
+        if args.command == "verify":
+            return _verify(args)
+        return _selftest(args)
+    except InstanceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except FileNotFoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except GuessExhausted as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_GUESS
+    except InvariantViolation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,136 @@
+"""Guessing ladder for the optimum value M and the combined-run driver.
+
+The solvers need M with M <= f(x*) <= (1+eps)M.  The max singleton value
+m0 is an n-approximation, so the geometric ladder m0*(1+eps)^k for
+k = 0..ceil(2 ln n / eps) contains a valid guess.  All guesses run
+independently (conceptually in parallel), so the combined adaptivity is
+one singleton batch plus the max over guesses.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Optional, Union
+
+import numpy as np
+
+from .matroid_solver import (MatroidSolverConfig, solve_matroid_monotone,
+                             solve_matroid_nonmonotone)
+from .objective import ObjectiveSpec
+from .packing_solver import (PackingInstance, PackingSolverConfig,
+                             add_box_rows, solve_packing_monotone,
+                             solve_packing_nonmonotone)
+from .polymatroid import PolymatroidInstance
+from .report import CONVERGED, GuessExhausted, SolveReport
+
+
+@dataclass
+class GuessLadder:
+    m0: float
+    eps: float
+    guesses: list
+
+    def __iter__(self):
+        return iter(self.guesses)
+
+
+def build_ladder(obj: ObjectiveSpec, eps: float,
+                 m_low: Optional[float] = None) -> GuessLadder:
+    """Geometric guesses spanning [m0, n*m0]; empty for the zero objective.
+
+    m0 = max singleton value only lower-bounds the optimum when singletons
+    are feasible (the matroid case).  Under packing constraints they may
+    not be, so callers can pass `m_low`, a feasible-point value, and the
+    ladder is extended downward to cover [m_low, n*m0].
+    """
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    m0 = float(obj.singleton_values().max()) if obj.n else 0.0
+    if m0 <= 0:
+        return GuessLadder(m0=0.0, eps=eps, guesses=[])
+    k_max = math.ceil(2.0 * math.log(max(obj.n, 2)) / eps)
+    k_min = 0
+    if m_low is not None and 0 < m_low < m0:
+        k_min = -math.ceil(math.log(m0 / m_low) / math.log1p(eps))
+    guesses = [m0 * (1.0 + eps) ** k for k in range(k_min, k_max + 1)]
+    return GuessLadder(m0=m0, eps=eps, guesses=guesses)
+
+
+def solve_with_guessing(obj: ObjectiveSpec,
+                        constraint: Union[PolymatroidInstance, PackingInstance],
+                        eps: float, *, monotone: Optional[bool] = None,
+                        seed: int = 0, max_iterations: Optional[int] = None,
+                        check_invariants: bool = True,
+                        parallel: bool = False) -> SolveReport:
+    """Run the appropriate solver for every ladder guess; keep the best.
+
+    Rejected guesses still enter the argmax when their partial solution is
+    feasible.  adaptive_rounds reports 1 (the singleton batch shared by
+    every guess) + max over guesses, since the runs are independent.
+    """
+    if monotone is None:
+        monotone = obj.monotone
+    m_low = None
+    if isinstance(constraint, PackingInstance):
+        # best single-coordinate feasible point; singletons themselves may
+        # violate Ax <= 1, so the ladder must reach below m0
+        m_low = 0.0
+        colmax = constraint.A.max(axis=0)
+        for i in range(constraint.n):
+            if i in constraint.fixed_zero or colmax[i] <= 0:
+                continue
+            point = np.zeros(constraint.n)
+            point[i] = min(1.0, (1.0 - eps) / colmax[i])
+            m_low = max(m_low, obj.eval(point))
+    ladder = build_ladder(obj, eps, m_low=m_low)
+    if not ladder.guesses:
+        zero = np.zeros(obj.n)
+        return SolveReport(solution=zero, value=obj.eval(zero), epochs=0,
+                           inner_iterations=0, adaptive_rounds=1,
+                           feasible=True, guess_used=0.0,
+                           termination=CONVERGED, slack=0.0,
+                           notes=["all singleton values are zero"])
+
+    is_packing = isinstance(constraint, PackingInstance)
+    if is_packing and not monotone:
+        constraint = add_box_rows(constraint)
+
+    def run_guess(M: float) -> SolveReport:
+        if is_packing:
+            cfg = PackingSolverConfig(eps=eps, M=M, seed=seed,
+                                      max_iterations=max_iterations,
+                                      check_invariants=check_invariants)
+            solve = solve_packing_monotone if monotone else solve_packing_nonmonotone
+        else:
+            cfg = MatroidSolverConfig(eps=eps, M=M, seed=seed,
+                                      max_inner_iterations=max_iterations,
+                                      check_invariants=check_invariants)
+            solve = solve_matroid_monotone if monotone else solve_matroid_nonmonotone
+        return solve(obj, constraint, cfg)
+
+    if parallel:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor() as pool:
+            reports = list(pool.map(run_guess, ladder.guesses))
+    else:
+        reports = [run_guess(M) for M in ladder.guesses]
+
+    best = None
+    max_rounds = 0
+    trace = []
+    for M, report in zip(ladder.guesses, reports):
+        max_rounds = max(max_rounds, report.adaptive_rounds)
+        trace.append((M, report.termination, report.value))
+        if not report.feasible:
+            continue
+        if (best is None or report.value > best.value
+                or (report.value == best.value and M < best.guess_used)):
+            best = report
+    if best is None:
+        raise GuessExhausted(
+            "no guess produced a feasible solution; "
+            "objective/constraint inconsistency")
+    best.adaptive_rounds = 1 + max_rounds
+    best.guess_trace = trace
+    return best

@@ -1,0 +1,186 @@
+"""Low-adaptivity DR-submodular maximization over a polymatroid.
+
+Both solvers build the solution over ceil(1/eps) epochs.  Within an epoch
+the gradient is evaluated at the future point (1+eps)*x, eligible
+coordinates are bucketed by powers of (1+eps), and a sequential
+water-filling step raises each eligible coordinate by up to a (1+eps)
+multiplicative factor while staying inside eps*P.  The non-monotone
+variant dampens the accumulated solution measured-greedy style.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+
+from .objective import ObjectiveSpec
+from .polymatroid import PolymatroidInstance
+from .report import (CONVERGED, GUESS_REJECTED, ITERATION_CAP,
+                     InvariantViolation, RoundCounter, SolveReport)
+
+ITER_BUDGET_K = 64
+
+
+@dataclass
+class MatroidSolverConfig:
+    eps: float
+    M: float
+    D: Optional[float] = None
+    max_inner_iterations: Optional[int] = None
+    seed: int = 0
+    check_invariants: bool = True
+
+    def __post_init__(self):
+        if not (0 < self.eps <= 0.05):
+            raise ValueError(f"eps must be in (0, 0.05], got {self.eps}")
+        if not (self.M > 0):
+            raise ValueError(f"M must be positive, got {self.M}")
+
+
+def iteration_budget(n: int, eps: float) -> int:
+    """Default inner-iteration cap, K * log^2(n/eps) / eps^3."""
+    return int(math.ceil(ITER_BUDGET_K * math.log(n / eps) ** 2 / eps ** 3))
+
+
+def solve_matroid_monotone(obj: ObjectiveSpec, pm: PolymatroidInstance,
+                           cfg: MatroidSolverConfig) -> SolveReport:
+    if not obj.monotone:
+        raise ValueError("monotone solver requires a monotone objective")
+    return _solve(obj, pm, cfg, monotone=True)
+
+
+def solve_matroid_nonmonotone(obj: ObjectiveSpec, pm: PolymatroidInstance,
+                              cfg: MatroidSolverConfig) -> SolveReport:
+    return _solve(obj, pm, cfg, monotone=False)
+
+
+def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
+    n = pm.n
+    if obj.n != n:
+        raise ValueError("objective and constraint dimensions differ")
+    epochs = math.ceil(1.0 / cfg.eps)
+    eps = 1.0 / epochs  # effective eps so that (1 - eps)^epochs <= 1/e
+    scale = eps / (1.0 + eps)
+    M = cfg.M
+    tol = 1e-12 * M
+
+    singles = obj.singleton_values()
+    D = cfg.D if cfg.D is not None else max(n / eps, float(singles.max()) / M)
+    max_inner = cfg.max_inner_iterations or iteration_budget(n, eps)
+
+    rounds = RoundCounter()
+    rounds.observe(n)  # singleton batch for the gradient-scale bound
+
+    x0 = _initial_point(pm, n, eps, D, scale)
+
+    z = np.zeros(n)
+    notes: list = []
+    total_inner = 0
+    termination = CONVERGED
+
+    for j in range(epochs):
+        if monotone:
+            g = lambda v: obj.eval(np.minimum(v + z, 1.0))
+            threshold = eps * ((1.0 - 10.0 * eps) * M)
+        else:
+            g = lambda v: obj.eval(np.minimum((1.0 - z) * v + z, 1.0))
+            threshold = eps * (((1.0 - eps / (1.0 + eps)) ** j - 10.0 * eps) * M)
+
+        xt = x0.copy()
+        g0 = g(x0)
+        rounds.observe(1)
+        gt = g0
+        tight_prev: frozenset = frozenset()
+        v2_prev = math.inf
+        rejected = False
+
+        while gt - g0 <= threshold - eps * g0 + tol:
+            if total_inner >= max_inner:
+                termination = ITERATION_CAP
+                break
+            if monotone:
+                c = obj.grad((1.0 + eps) * xt + z)
+            else:
+                c = (1.0 - z) * obj.grad((1.0 - z) * (1.0 + eps) * xt + z)
+            tight = pm.tight_set(xt, scale).members
+            if cfg.check_invariants and not tight_prev <= tight:
+                raise InvariantViolation("tight set lost coordinates")
+            tight_prev = tight
+            outside = [i for i in range(n) if i not in tight]
+            if not outside:
+                rejected = True
+                break
+            v1 = max(c[i] for i in outside)
+            if v1 <= 0:
+                rejected = True
+                break
+            v2 = (1.0 + eps) ** math.floor(math.log(v1) / math.log1p(eps))
+            if cfg.check_invariants and v2 > v2_prev * (1.0 + 1e-9):
+                raise InvariantViolation("bucket value v2 increased within an epoch")
+            v2_prev = v2
+            eligible = [i for i in range(n) if c[i] >= v2]
+            y = pm.waterfill(xt, eligible, eps)
+            if float(y.sum()) <= 0.0:
+                rejected = True
+                break
+            xt = xt + y
+            g_new = g(xt)
+            if cfg.check_invariants and g_new < gt - 1e-9 * M:
+                raise InvariantViolation("objective decreased within an epoch")
+            gt = g_new
+            total_inner += 1
+            rounds.observe(n + 1)  # one gradient batch plus the value query
+
+        z = z + xt if monotone else z + (1.0 - z) * xt
+
+        if not monotone and cfg.check_invariants:
+            bound = 1.0 - (1.0 - eps / (1.0 + eps)) ** (j + 1)
+            if float(z.max()) > bound + 1e-9:
+                raise InvariantViolation("damped solution exceeded the epoch bound")
+
+        if rejected:
+            termination = GUESS_REJECTED
+            notes.append(f"epoch {j}: no improvable coordinate before the gain target")
+        if termination != CONVERGED:
+            break
+
+    value = obj.eval(np.minimum(z, 1.0))
+    feasible = pm.membership(z, 1.0)
+    if cfg.check_invariants and not feasible:
+        raise InvariantViolation("returned solution is outside the polymatroid")
+    slack = _polymatroid_margin(pm, z)
+    return SolveReport(
+        solution=z, value=value, epochs=epochs, inner_iterations=total_inner,
+        adaptive_rounds=rounds.rounds, feasible=feasible, guess_used=M,
+        termination=termination, slack=slack, notes=notes)
+
+
+def _initial_point(pm, n, eps, D, scale) -> np.ndarray:
+    """eps^2/(nD) * 1, zeroed on rank-0 coordinates and shrunk into scale*P."""
+    x0 = np.full(n, eps * eps / (n * D))
+    for i in range(n):
+        if pm.rank([i]) <= 0:
+            x0[i] = 0.0
+    if not pm.membership(x0, scale):
+        factor = 1.0
+        for i in range(n):
+            if x0[i] > 0:
+                factor = min(factor, scale / x0[i])
+        for members, cap in pm.family:
+            s = sum(x0[i] for i in members)
+            if s > 0:
+                factor = min(factor, scale * cap / s)
+        x0 *= factor * (1.0 - 1e-12)
+    return x0
+
+
+def _polymatroid_margin(pm, x) -> float:
+    """Minimum slack scale*r(B) - x(B) over family sets and element caps."""
+    margin = float(min(1.0 - x.min(), 1.0))
+    margin = min(margin, float((1.0 - x).min()))
+    for members, cap in pm.family:
+        margin = min(margin, cap - sum(x[i] for i in members))
+    return margin

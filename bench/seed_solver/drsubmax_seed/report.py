@@ -1,0 +1,67 @@
+"""Solve reports, round accounting, and shared error types."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+CONVERGED = "converged"
+GUESS_REJECTED = "guess_rejected"
+ITERATION_CAP = "iteration_cap"
+
+SCHEMA_VERSION = 1
+
+
+class InvariantViolation(RuntimeError):
+    """A runtime invariant of a solver failed (CLI exit code 3)."""
+
+
+class GuessExhausted(RuntimeError):
+    """No guess produced a feasible solution (CLI exit code 2)."""
+
+
+@dataclass
+class RoundCounter:
+    """Counts synchronized oracle batches (the adaptivity measure)."""
+
+    rounds: int = 0
+    queries_per_round: list = field(default_factory=list)
+
+    def observe(self, queries: int = 1):
+        self.rounds += 1
+        self.queries_per_round.append(int(queries))
+
+
+@dataclass
+class SolveReport:
+    solution: np.ndarray
+    value: float
+    epochs: int
+    inner_iterations: int
+    adaptive_rounds: int
+    feasible: bool
+    guess_used: float
+    termination: str
+    slack: float = float("nan")
+    notes: list = field(default_factory=list)
+    guess_trace: list = field(default_factory=list)
+
+    def to_dict(self) -> dict:
+        return {
+            "schema": SCHEMA_VERSION,
+            "solution": [float(v) for v in self.solution],
+            "value": float(self.value),
+            "epochs": int(self.epochs),
+            "inner_iterations": int(self.inner_iterations),
+            "adaptive_rounds": int(self.adaptive_rounds),
+            "feasible": bool(self.feasible),
+            "guess_used": float(self.guess_used),
+            "termination": self.termination,
+            "slack": float(self.slack),
+            "notes": list(self.notes),
+            "guess_trace": [
+                {"guess": float(g), "termination": t, "value": float(v)}
+                for (g, t, v) in self.guess_trace
+            ],
+        }
