@@ -4,14 +4,15 @@ constraints."""
 from .bruteforce import (OracleResult, brute_force_matroid_opt,
                          finite_diff_grad, grid_fractional_opt,
                          multilinear_enumeration)
-from .guessing import GuessLadder, build_ladder, solve_with_guessing
+from .guessing import (GuessLadder, build_ladder, solve_single,
+                       solve_with_guessing)
 from .matroid_solver import (MatroidSolverConfig, solve_matroid_monotone,
                              solve_matroid_nonmonotone)
 from .objective import ObjectiveSpec
 from .packing_solver import (PackingInstance, PackingSolverConfig,
                              add_box_rows, normalize_packing,
                              solve_packing_monotone, solve_packing_nonmonotone)
-from .polymatroid import PolymatroidInstance, RankOracleError, TightSet
+from .polymatroid import PolymatroidInstance, RankOracleError
 from .report import (CONVERGED, GUESS_REJECTED, ITERATION_CAP, GuessExhausted,
                      InvariantViolation, RoundCounter, SolveReport)
 from .softmax import SoftmaxParams, increment_bound, smax, smax_grad
@@ -19,12 +20,12 @@ from .softmax import SoftmaxParams, increment_bound, smax, smax_grad
 __version__ = "0.1.0"
 
 __all__ = [
-    "ObjectiveSpec", "PolymatroidInstance", "TightSet", "RankOracleError",
+    "ObjectiveSpec", "PolymatroidInstance", "RankOracleError",
     "SoftmaxParams", "smax", "smax_grad", "increment_bound",
     "MatroidSolverConfig", "solve_matroid_monotone", "solve_matroid_nonmonotone",
     "PackingInstance", "PackingSolverConfig", "normalize_packing",
     "add_box_rows", "solve_packing_monotone", "solve_packing_nonmonotone",
-    "GuessLadder", "build_ladder", "solve_with_guessing",
+    "GuessLadder", "build_ladder", "solve_single", "solve_with_guessing",
     "OracleResult", "brute_force_matroid_opt", "grid_fractional_opt",
     "finite_diff_grad", "multilinear_enumeration",
     "SolveReport", "RoundCounter", "InvariantViolation", "GuessExhausted",

@@ -1,13 +1,14 @@
 """Instance parsing, solver dispatch, report emission, and verification.
 
 Instances and reports are JSON (schemas in docs/formats.md).  Two runs
-with identical instance + flags + seed produce byte-identical reports.
+with identical instance + flags produce byte-identical reports.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -15,16 +16,12 @@ from typing import Optional, Union
 import numpy as np
 
 from .bruteforce import brute_force_matroid_opt, grid_fractional_opt
-from .guessing import solve_with_guessing
-from .matroid_solver import (MatroidSolverConfig, solve_matroid_monotone,
-                             solve_matroid_nonmonotone)
-from .objective import COVERAGE, DIRECTED_CUT, LINEAR, SAMPLED, ObjectiveSpec
-from .packing_solver import (PackingInstance, PackingSolverConfig,
-                             add_box_rows, normalize_packing,
-                             solve_packing_monotone, solve_packing_nonmonotone)
+from .guessing import solve_single, solve_with_guessing
+from .objective import COVERAGE, DIRECTED_CUT, LINEAR, ObjectiveSpec
+from .packing_solver import PackingInstance, normalize_packing
 from .polymatroid import LAMINAR, PARTITION, UNIFORM, PolymatroidInstance
 from .report import (CONVERGED, GUESS_REJECTED, ITERATION_CAP, GuessExhausted,
-                     InvariantViolation, SolveReport)
+                     InvariantViolation)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,7 +55,7 @@ class InstanceFile:
             if o["kind"] == DIRECTED_CUT:
                 return ObjectiveSpec.directed_cut(
                     o["n"], [tuple(a) for a in o["arcs"]])
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise InstanceError(f"objective: {exc}") from exc
         raise InstanceError(f"objective.kind: unsupported kind {o['kind']!r}")
 
@@ -83,16 +80,37 @@ class InstanceFile:
                     f"constraint.kind: unsupported kind {c['kind']!r}")
         except InstanceError:
             raise
-        except (ValueError, KeyError, IndexError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise InstanceError(f"constraint: {exc}") from exc
         raise InstanceError(f"constraint.type: unsupported type {c['type']!r}")
+
+
+def _finite(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise InstanceError(f"non-finite number {token} is not allowed")
+    return value
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_count(section: dict, key: str, path: str) -> int:
+    value = section.get(key)
+    if not (_is_int(value) and value >= 0):
+        raise InstanceError(
+            f"{path}.{key}: expected a non-negative integer, got {value!r}")
+    return value
 
 
 def parse_instance(text: Union[str, bytes]) -> InstanceFile:
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     try:
-        data = json.loads(text)
+        # NaN, Infinity and overflowing literals never reach the solvers,
+        # whose comparisons would let a NaN through as feasible
+        data = json.loads(text, parse_float=_finite, parse_constant=_finite)
     except json.JSONDecodeError as exc:
         raise InstanceError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
@@ -108,9 +126,17 @@ def parse_instance(text: Union[str, bytes]) -> InstanceFile:
     if not isinstance(con, dict) or "type" not in con:
         raise InstanceError("constraint: expected an object with a 'type' field")
     eps = data["eps"]
-    if not isinstance(eps, (int, float)) or eps <= 0:
+    if not isinstance(eps, (int, float)) or not eps > 0:
         raise InstanceError(f"eps: must be a positive number, got {eps!r}")
+    seed = data.get("seed", 0)
+    if not _is_int(seed):
+        raise InstanceError(f"seed: expected an integer, got {seed!r}")
+    if obj["kind"] == DIRECTED_CUT:
+        _require_count(obj, "n", "objective")
+    if con["type"] in ("packing", "polymatroid"):
+        n = _require_count(con, "n", "constraint")
     if con["type"] == "packing":
+        m = _require_count(con, "m", "constraint")
         trips = con.get("triplets")
         if not isinstance(trips, list):
             raise InstanceError("constraint.triplets: missing or not a list")
@@ -120,10 +146,10 @@ def parse_instance(text: Union[str, bytes]) -> InstanceFile:
                 raise InstanceError(
                     f"constraint.triplets[{idx}]: expected [row, col, value]")
             r, c, v = t
-            if not (0 <= r < con.get("m", 0) and 0 <= c < con.get("n", 0)):
+            if not (_is_int(r) and _is_int(c) and 0 <= r < m and 0 <= c < n):
                 raise InstanceError(
                     f"constraint.triplets[{idx}]: index ({r},{c}) out of range")
-            if v < 0:
+            if not (isinstance(v, (int, float)) and v >= 0):
                 raise InstanceError(
                     f"constraint.triplets[{idx}]: negative value {v}")
             if prev is not None and (r, c) <= prev:
@@ -132,12 +158,14 @@ def parse_instance(text: Union[str, bytes]) -> InstanceFile:
                     "or duplicate entry")
             prev = (r, c)
     inst = InstanceFile(objective=obj, constraint=con, eps=float(eps),
-                        seed=int(data.get("seed", 0)),
-                        known_opt=data.get("known_opt"))
+                        seed=seed, known_opt=data.get("known_opt"))
     # surface structural problems (negative weights, non-laminar family,
-    # self-loops) at parse time, not at solve time
-    inst.build_objective()
-    inst.build_constraint(min(inst.eps, 0.05))
+    # self-loops, mismatched dimensions) at parse time, not at solve time
+    obj_n = inst.build_objective().n
+    con_n = inst.build_constraint(min(inst.eps, 0.05)).n
+    if obj_n != con_n:
+        raise InstanceError(f"constraint.n: {con_n} does not match the "
+                            f"objective's dimension {obj_n}")
     return inst
 
 
@@ -167,7 +195,26 @@ def _resolve_monotone(flag: str, obj: ObjectiveSpec) -> bool:
     return want
 
 
-def _solve(args, kind: str) -> int:
+_CONSTRAINT_OF = {"solve-packing": (PackingInstance, "packing"),
+                  "solve-matroid": (PolymatroidInstance, "polymatroid")}
+
+
+def _solve(args):
+    """Load the instance and solve it as the flags ask.
+
+    Returns (instance file, objective, constraint, report).
+    """
+    if args.max_iters is not None and args.max_iters < 1:
+        raise InstanceError(f"--max-iters: must be >= 1, got {args.max_iters}")
+    M = None
+    if args.guess != "auto":
+        try:
+            M = float(args.guess)
+        except ValueError:
+            M = math.nan
+        if not (0 < M < math.inf):
+            raise InstanceError(
+                f"--guess: expected 'auto' or a positive number, got {args.guess!r}")
     with open(args.instance, "rb") as fh:
         inst = parse_instance(fh.read())
     eps = args.eps if args.eps is not None else inst.eps
@@ -175,52 +222,29 @@ def _solve(args, kind: str) -> int:
         raise InstanceError(f"eps: {eps} outside the supported range (0, 0.05]")
     obj = inst.build_objective()
     constraint = inst.build_constraint(eps)
-    if kind == "packing" and not isinstance(constraint, PackingInstance):
-        raise InstanceError("constraint.type: solve-packing needs a packing "
-                            "constraint")
-    if kind == "matroid" and not isinstance(constraint, PolymatroidInstance):
-        raise InstanceError("constraint.type: solve-matroid needs a "
-                            "polymatroid constraint")
+    if args.command in _CONSTRAINT_OF:
+        cls, name = _CONSTRAINT_OF[args.command]
+        if not isinstance(constraint, cls):
+            raise InstanceError(f"constraint.type: {args.command} needs a "
+                                f"{name} constraint")
     monotone = _resolve_monotone(args.monotone, obj)
-    seed = args.seed if args.seed is not None else inst.seed
-
-    if args.guess == "auto":
+    if M is None:
         report = solve_with_guessing(obj, constraint, eps, monotone=monotone,
-                                     seed=seed, max_iterations=args.max_iters,
-                                     parallel=args.wallclock_parallel)
+                                     max_iterations=args.max_iters)
     else:
-        M = float(args.guess)
-        if kind == "packing":
-            cfg = PackingSolverConfig(eps=eps, M=M, seed=seed,
-                                      max_iterations=args.max_iters)
-            if monotone:
-                report = solve_packing_monotone(obj, constraint, cfg)
-            else:
-                report = solve_packing_nonmonotone(
-                    obj, add_box_rows(constraint), cfg)
-        else:
-            cfg = MatroidSolverConfig(eps=eps, M=M, seed=seed,
-                                      max_inner_iterations=args.max_iters)
-            if monotone:
-                report = solve_matroid_monotone(obj, constraint, cfg)
-            else:
-                report = solve_matroid_nonmonotone(obj, constraint, cfg)
+        report = solve_single(obj, constraint, eps, M, monotone=monotone,
+                              max_iterations=args.max_iters)
+    return inst, obj, constraint, report
+
+
+def _solve_command(args) -> int:
+    report = _solve(args)[3]
     _emit_report(report.to_dict(), args.report)
     return _EXIT_BY_TERMINATION[report.termination]
 
 
 def _verify(args) -> int:
-    with open(args.instance, "rb") as fh:
-        inst = parse_instance(fh.read())
-    eps = args.eps if args.eps is not None else inst.eps
-    if not (0 < eps <= 0.05):
-        raise InstanceError(f"eps: {eps} outside the supported range (0, 0.05]")
-    obj = inst.build_objective()
-    constraint = inst.build_constraint(eps)
-    seed = args.seed if args.seed is not None else inst.seed
-    report = solve_with_guessing(obj, constraint, eps, seed=seed,
-                                 max_iterations=args.max_iters,
-                                 parallel=args.wallclock_parallel)
+    inst, obj, constraint, report = _solve(args)
     if isinstance(constraint, PackingInstance):
         oracle = grid_fractional_opt(obj, constraint, resolution=1e-2)
     else:
@@ -243,20 +267,17 @@ def _selftest(args) -> int:
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
-def _add_common(sub, with_instance=True):
-    if with_instance:
-        sub.add_argument("instance", help="instance JSON file")
+def _add_common(sub):
+    sub.add_argument("instance", help="instance JSON file")
     sub.add_argument("--eps", type=float, default=None,
                      help="override instance eps (range (0, 0.05])")
     sub.add_argument("--guess", default="auto",
                      help="'auto' for the guessing ladder, or a value for M")
-    sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--monotone", choices=["auto", "true", "false"],
                      default="auto")
-    sub.add_argument("--max-iters", type=int, default=None)
+    sub.add_argument("--max-iters", type=int, default=None,
+                     help="iteration cap per guess (>= 1)")
     sub.add_argument("--report", default=None, help="also write the report here")
-    sub.add_argument("--wallclock-parallel", action="store_true",
-                     help="run ladder guesses in concurrent threads")
 
 
 def main(argv=None) -> int:
@@ -273,13 +294,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.command == "solve-packing":
-            return _solve(args, "packing")
-        if args.command == "solve-matroid":
-            return _solve(args, "matroid")
         if args.command == "verify":
             return _verify(args)
-        return _selftest(args)
+        if args.command == "selftest":
+            return _selftest(args)
+        return _solve_command(args)
     except InstanceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

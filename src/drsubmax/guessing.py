@@ -31,9 +31,6 @@ class GuessLadder:
     eps: float
     guesses: list
 
-    def __iter__(self):
-        return iter(self.guesses)
-
 
 def build_ladder(obj: ObjectiveSpec, eps: float,
                  m_low: Optional[float] = None) -> GuessLadder:
@@ -57,17 +54,39 @@ def build_ladder(obj: ObjectiveSpec, eps: float,
     return GuessLadder(m0=m0, eps=eps, guesses=guesses)
 
 
+def solve_single(obj: ObjectiveSpec,
+                 constraint: Union[PolymatroidInstance, PackingInstance],
+                 eps: float, M: float, *, monotone: bool,
+                 max_iterations: Optional[int] = None) -> SolveReport:
+    """One solver run at guess M, chosen by the constraint type and `monotone`.
+
+    The solvers are looked up in this module's namespace at call time, so
+    a wrapper installed on one of these names sees every guess.
+    """
+    if isinstance(constraint, PackingInstance):
+        cfg = PackingSolverConfig(eps=eps, M=M, max_iterations=max_iterations)
+        if monotone:
+            return solve_packing_monotone(obj, constraint, cfg)
+        return solve_packing_nonmonotone(obj, add_box_rows(constraint), cfg)
+    cfg = MatroidSolverConfig(eps=eps, M=M, max_iterations=max_iterations)
+    if monotone:
+        return solve_matroid_monotone(obj, constraint, cfg)
+    return solve_matroid_nonmonotone(obj, constraint, cfg)
+
+
 def solve_with_guessing(obj: ObjectiveSpec,
                         constraint: Union[PolymatroidInstance, PackingInstance],
                         eps: float, *, monotone: Optional[bool] = None,
-                        seed: int = 0, max_iterations: Optional[int] = None,
-                        check_invariants: bool = True,
-                        parallel: bool = False) -> SolveReport:
+                        max_iterations: Optional[int] = None) -> SolveReport:
     """Run the appropriate solver for every ladder guess; keep the best.
 
     Rejected guesses still enter the argmax when their partial solution is
     feasible.  adaptive_rounds reports 1 (the singleton batch shared by
-    every guess) + max over guesses, since the runs are independent.
+    every guess) + max over guesses, since the runs are independent.  The
+    result's termination is `converged` when any guess converged: a
+    converged guess is feasible, so the best value is at least its value.
+    Otherwise it is the best guess's own termination; `guess_trace` keeps
+    each guess's own.
     """
     if monotone is None:
         monotone = obj.monotone
@@ -83,6 +102,8 @@ def solve_with_guessing(obj: ObjectiveSpec,
             point = np.zeros(constraint.n)
             point[i] = min(1.0, (1.0 - eps) / colmax[i])
             m_low = max(m_low, obj.eval(point))
+        if not monotone:
+            constraint = add_box_rows(constraint)  # once, not once per guess
     ladder = build_ladder(obj, eps, m_low=m_low)
     if not ladder.guesses:
         zero = np.zeros(obj.n)
@@ -92,34 +113,12 @@ def solve_with_guessing(obj: ObjectiveSpec,
                            termination=CONVERGED, slack=0.0,
                            notes=["all singleton values are zero"])
 
-    is_packing = isinstance(constraint, PackingInstance)
-    if is_packing and not monotone:
-        constraint = add_box_rows(constraint)
-
-    def run_guess(M: float) -> SolveReport:
-        if is_packing:
-            cfg = PackingSolverConfig(eps=eps, M=M, seed=seed,
-                                      max_iterations=max_iterations,
-                                      check_invariants=check_invariants)
-            solve = solve_packing_monotone if monotone else solve_packing_nonmonotone
-        else:
-            cfg = MatroidSolverConfig(eps=eps, M=M, seed=seed,
-                                      max_inner_iterations=max_iterations,
-                                      check_invariants=check_invariants)
-            solve = solve_matroid_monotone if monotone else solve_matroid_nonmonotone
-        return solve(obj, constraint, cfg)
-
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor() as pool:
-            reports = list(pool.map(run_guess, ladder.guesses))
-    else:
-        reports = [run_guess(M) for M in ladder.guesses]
-
     best = None
     max_rounds = 0
     trace = []
-    for M, report in zip(ladder.guesses, reports):
+    for M in ladder.guesses:
+        report = solve_single(obj, constraint, eps, M, monotone=monotone,
+                              max_iterations=max_iterations)
         max_rounds = max(max_rounds, report.adaptive_rounds)
         trace.append((M, report.termination, report.value))
         if not report.feasible:
@@ -133,4 +132,6 @@ def solve_with_guessing(obj: ObjectiveSpec,
             "objective/constraint inconsistency")
     best.adaptive_rounds = 1 + max_rounds
     best.guess_trace = trace
+    if any(t == CONVERGED for _, t, _ in trace):
+        best.termination = CONVERGED
     return best

@@ -28,10 +28,7 @@ ITER_BUDGET_K = 64
 class MatroidSolverConfig:
     eps: float
     M: float
-    D: Optional[float] = None
-    max_inner_iterations: Optional[int] = None
-    seed: int = 0
-    check_invariants: bool = True
+    max_iterations: Optional[int] = None  # default: iteration_budget
 
     def __post_init__(self):
         if not (0 < self.eps <= 0.05):
@@ -68,8 +65,9 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
     tol = 1e-12 * M
 
     singles = obj.singleton_values()
-    D = cfg.D if cfg.D is not None else max(n / eps, float(singles.max()) / M)
-    max_inner = cfg.max_inner_iterations or iteration_budget(n, eps)
+    D = max(n / eps, float(singles.max()) / M)
+    max_inner = (iteration_budget(n, eps) if cfg.max_iterations is None
+                 else cfg.max_iterations)
 
     rounds = RoundCounter()
     rounds.observe(n)  # singleton batch for the gradient-scale bound
@@ -105,8 +103,8 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
                 c = obj.grad((1.0 + eps) * xt + z)
             else:
                 c = (1.0 - z) * obj.grad((1.0 - z) * (1.0 + eps) * xt + z)
-            tight = pm.tight_set(xt, scale).members
-            if cfg.check_invariants and not tight_prev <= tight:
+            tight = pm.tight_set(xt, scale)
+            if not tight_prev <= tight:
                 raise InvariantViolation("tight set lost coordinates")
             tight_prev = tight
             outside = [i for i in range(n) if i not in tight]
@@ -118,7 +116,7 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
                 rejected = True
                 break
             v2 = (1.0 + eps) ** math.floor(math.log(v1) / math.log1p(eps))
-            if cfg.check_invariants and v2 > v2_prev * (1.0 + 1e-9):
+            if v2 > v2_prev * (1.0 + 1e-9):
                 raise InvariantViolation("bucket value v2 increased within an epoch")
             v2_prev = v2
             eligible = [i for i in range(n) if c[i] >= v2]
@@ -128,7 +126,7 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
                 break
             xt = xt + y
             g_new = g(xt)
-            if cfg.check_invariants and g_new < gt - 1e-9 * M:
+            if g_new < gt - 1e-9 * M:
                 raise InvariantViolation("objective decreased within an epoch")
             gt = g_new
             total_inner += 1
@@ -136,7 +134,7 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
 
         z = z + xt if monotone else z + (1.0 - z) * xt
 
-        if not monotone and cfg.check_invariants:
+        if not monotone:
             bound = 1.0 - (1.0 - eps / (1.0 + eps)) ** (j + 1)
             if float(z.max()) > bound + 1e-9:
                 raise InvariantViolation("damped solution exceeded the epoch bound")
@@ -149,7 +147,7 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
 
     value = obj.eval(np.minimum(z, 1.0))
     feasible = pm.membership(z, 1.0)
-    if cfg.check_invariants and not feasible:
+    if not feasible:
         raise InvariantViolation("returned solution is outside the polymatroid")
     slack = _polymatroid_margin(pm, z)
     return SolveReport(
@@ -179,8 +177,7 @@ def _initial_point(pm, n, eps, D, scale) -> np.ndarray:
 
 def _polymatroid_margin(pm, x) -> float:
     """Minimum slack scale*r(B) - x(B) over family sets and element caps."""
-    margin = float(min(1.0 - x.min(), 1.0))
-    margin = min(margin, float((1.0 - x).min()))
+    margin = float((1.0 - x).min())
     for members, cap in pm.family:
         margin = min(margin, cap - sum(x[i] for i in members))
     return margin

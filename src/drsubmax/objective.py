@@ -53,7 +53,7 @@ class ObjectiveSpec:
     def coverage(cls, weights: Sequence[float], covers: Sequence[Sequence[int]]):
         """Weighted coverage: element i covers the universe items covers[i]."""
         weights = np.asarray(weights, dtype=float)
-        if np.any(weights < 0):
+        if not np.all(weights >= 0):
             raise ValueError("coverage weights must be non-negative")
         n = len(covers)
         u = len(weights)
@@ -77,7 +77,7 @@ class ObjectiveSpec:
                 raise ValueError(f"arc ({u},{v}) out of range")
             if u == v:
                 raise ValueError(f"self-loop ({u},{u}) not allowed")
-            if w < 0:
+            if not w >= 0:
                 raise ValueError(f"arc ({u},{v}): negative weight {w}")
             out_arcs[u].append((v, float(w)))
             in_arcs[v].append((u, float(w)))
@@ -88,7 +88,7 @@ class ObjectiveSpec:
     @classmethod
     def linear(cls, weights: Sequence[float]):
         weights = np.asarray(weights, dtype=float)
-        if np.any(weights < 0):
+        if not np.all(weights >= 0):
             raise ValueError("linear weights must be non-negative")
         return cls(kind=LINEAR, n=weights.size, monotone=True, weights=weights)
 

@@ -59,7 +59,7 @@ def normalize_packing(A, eps: float) -> PackingInstance:
     A = np.array(A, dtype=float)
     if A.ndim != 2:
         raise ValueError("A must be a 2-d matrix")
-    if np.any(A < 0):
+    if not np.all(A >= 0):
         raise ValueError("A must be non-negative")
     if not (0 < eps <= 0.05):
         raise ValueError(f"eps must be in (0, 0.05], got {eps}")
@@ -101,10 +101,7 @@ def add_box_rows(inst: PackingInstance) -> PackingInstance:
 class PackingSolverConfig:
     eps: float
     M: float
-    eta: Optional[float] = None  # default: the per-algorithm formula
-    max_iterations: Optional[int] = None
-    seed: int = 0
-    check_invariants: bool = True
+    max_iterations: Optional[int] = None  # default: the per-algorithm cap
     # align eta and lambda with the classic linear packing scheme
     # (eta = eps/(2 ln m), lambda fixed at M); equivalence-test hook
     figure1_lambda: bool = False
@@ -146,23 +143,42 @@ def solve_packing_monotone(obj: ObjectiveSpec, inst: PackingInstance,
                            cfg: PackingSolverConfig) -> SolveReport:
     if not obj.monotone:
         raise ValueError("monotone solver requires a monotone objective")
+    return _solve(obj, inst, cfg, monotone=True)
+
+
+def solve_packing_nonmonotone(obj: ObjectiveSpec, inst: PackingInstance,
+                              cfg: PackingSolverConfig) -> SolveReport:
+    if not inst.includes_box:
+        raise ValueError("non-monotone solver requires box rows (add_box_rows)")
+    return _solve(obj, inst, cfg, monotone=False)
+
+
+def _solve(obj, inst, cfg, monotone: bool) -> SolveReport:
     if obj.n != inst.n:
         raise ValueError("objective and constraint dimensions differ")
     eps, M = cfg.eps, cfg.M
     m = inst.m
-    if cfg.eta is not None:
-        eta = cfg.eta
-    elif cfg.figure1_lambda:
-        eta = eps / (2.0 * _lnm(m))
-    else:
+    if monotone and not cfg.figure1_lambda:
         eta = eps / (2.0 * (2.0 + _lnm(m)))
+    else:
+        eta = eps / (2.0 * _lnm(m))
     p = SoftmaxParams(eta=eta, m=m)
-    max_iters = cfg.max_iterations or iteration_cap_monotone(inst.n, m, eps)
-    lam_floor = M * (math.exp(10.0 * eps - 1.0) - eta)
-    target = (1.0 - math.exp(-1.0 + 10.0 * eps)) * M
+    if monotone:
+        cap = iteration_cap_monotone(inst.n, m, eps)
+        lam_floor = M * (math.exp(10.0 * eps - 1.0) - eta)
+        target = (1.0 - math.exp(-1.0 + 10.0 * eps)) * M
+    else:
+        cap = iteration_cap_nonmonotone(inst.n, m, eps)
+        target = math.exp(-1.0 - 10.0 * eps) * M
+    max_iters = cap if cfg.max_iterations is None else cfg.max_iterations
 
     rounds = RoundCounter()
     x = _start_point(inst)
+    # the potential is t = smax(Az): z is x itself for the monotone variant
+    # and the undamped companion of x for the non-monotone one
+    z = x
+    Az = inst.A @ z
+    t = smax(Az, p)
     fx = obj.eval(x)
     rounds.observe(1)
     if cfg.iterate_hook is not None:
@@ -173,23 +189,31 @@ def solve_packing_monotone(obj: ObjectiveSpec, inst: PackingInstance,
     iters = 0
     coord_updates = np.zeros(inst.n)
     clamp_iter = None
+    gain_note = False
 
     while fx <= target:
         if iters >= max_iters:
             termination = ITERATION_CAP
             break
-        if cfg.figure1_lambda:
-            lam = M
+        if monotone:
+            if cfg.figure1_lambda:
+                lam = M
+            else:
+                lam = M - (1.0 + eta) * fx
+                if lam < lam_floor:
+                    lam = lam_floor
+                    if clamp_iter is None:
+                        clamp_iter = iters
+            c = obj.grad((1.0 + eta) * x)
         else:
-            lam = M - (1.0 + eta) * fx
-            if lam < lam_floor:
-                lam = lam_floor
-                if clamp_iter is None:
-                    clamp_iter = iters
-        c = obj.grad((1.0 + eta) * x)
-        Ax = inst.A @ x
-        pot = smax_grad(Ax, p)
-        score = inst.A.T @ pot
+            lam = M * (math.exp(-t) - 2.0 * eps) - fx
+            if lam <= 0:
+                termination = GUESS_REJECTED
+                notes.append(f"iteration {iters}: lambda = {lam:.6g} <= 0 "
+                             "(guess/time inconsistency)")
+                break
+            c = np.maximum((1.0 - x) * obj.grad((1.0 + eta) * x), 0.0)
+        score = inst.A.T @ smax_grad(Az, p)
         mvec = np.zeros(inst.n)
         live = c > 1e-15 * M
         mvec[live] = np.maximum(1.0 - lam * score[live] / c[live], 0.0)
@@ -198,27 +222,44 @@ def solve_packing_monotone(obj: ObjectiveSpec, inst: PackingInstance,
             termination = GUESS_REJECTED
             notes.append(f"iteration {iters}: zero update direction")
             break
-        x_new = x + d
+        if monotone:
+            x_new = z_new = x + d
+        else:
+            x_new = x + d * (1.0 - x)
+            z_new = z + d
         fx_new = obj.eval(x_new)
-        s_old = smax(Ax, p)
-        s_new = smax(inst.A @ x_new, p)
-        if cfg.check_invariants and s_new > s_old + 1e-12:
-            if fx_new - fx < lam * (s_new - s_old) - 1e-9 * max(M, 1.0):
-                rate = (fx_new - fx) / (s_new - s_old)
+        Az_new = inst.A @ z_new
+        t_new = smax(Az_new, p)
+        if t_new > t + 1e-12:
+            if fx_new - fx < lam * (t_new - t) - 1e-9 * max(M, 1.0):
+                rate = (fx_new - fx) / (t_new - t)
                 raise InvariantViolation(
                     f"gain rate {rate:.6g} below lambda {lam:.6g}")
+        if not monotone:
+            bound = (1.0 + eps) * (1.0 - math.exp(-t_new))
+            if float(x_new.max()) > bound + 1e-9:
+                raise InvariantViolation(
+                    f"||x||_inf = {float(x_new.max()):.6g} exceeds "
+                    f"(1+eps)(1-e^-t) = {bound:.6g}")
+            gain_lhs = math.exp(t_new) * fx_new
+            gain_rhs = ((1.0 - 2.0 * math.e * eps) * (t_new - t) * M
+                        + math.exp(t) * fx)
+            if gain_lhs < gain_rhs - 1e-9 * M and not gain_note:
+                notes.append(f"iteration {iters}: exponential-gain recurrence "
+                             f"short by {gain_rhs - gain_lhs:.3g}")
+                gain_note = True
         coord_updates += mvec
-        x, fx = x_new, fx_new
+        x, z, Az, t, fx = x_new, z_new, Az_new, t_new, fx_new
         if cfg.iterate_hook is not None:
             cfg.iterate_hook(x.copy())
         iters += 1
         rounds.observe(inst.n + 2)  # gradient batch, value, potential matvec
-        if fx <= target and s_new > 1.0 - eps + 1e-9:
-            # a valid guess keeps smax <= 1-eps until the last iteration, so
-            # spending the whole potential budget short of the value target
-            # certifies M > f(x*)
+        if fx <= target and t > 1.0 - eps + 1e-9:
+            # a valid guess keeps the potential <= 1-eps until the last
+            # iteration, so spending the whole budget short of the value
+            # target certifies M > f(x*)
             termination = GUESS_REJECTED
-            notes.append(f"iteration {iters}: potential {s_new:.6g} exhausted "
+            notes.append(f"iteration {iters}: potential {t:.6g} exhausted "
                          "before the value target")
             break
 
@@ -226,106 +267,12 @@ def solve_packing_monotone(obj: ObjectiveSpec, inst: PackingInstance,
         notes.append(f"lambda clamped at its floor from iteration {clamp_iter}")
     _budget_notes(coord_updates, x, inst, eta, notes)
 
-    ax_inf = float((inst.A @ x).max()) if m else 0.0
-    s_final = smax(inst.A @ x, p)
+    Ax = inst.A @ x
+    ax_inf = float(Ax.max())
     feasible = ax_inf <= 1.0 - 2.0 * eps + 1e-9
     if termination == CONVERGED:
-        if cfg.check_invariants and s_final > 1.0 - 2.0 * eps + 1e-9:
-            raise InvariantViolation(
-                f"converged with smax {s_final:.6g} > 1 - 2*eps")
-    elif not feasible:
-        notes.append(f"final ||Ax||_inf = {ax_inf:.6g} exceeds 1 - 2*eps")
-    return SolveReport(
-        solution=x, value=fx, epochs=1, inner_iterations=iters,
-        adaptive_rounds=rounds.rounds, feasible=feasible, guess_used=M,
-        termination=termination, slack=ax_inf, notes=notes)
-
-
-def solve_packing_nonmonotone(obj: ObjectiveSpec, inst: PackingInstance,
-                              cfg: PackingSolverConfig) -> SolveReport:
-    if not inst.includes_box:
-        raise ValueError("non-monotone solver requires box rows (add_box_rows)")
-    if obj.n != inst.n:
-        raise ValueError("objective and constraint dimensions differ")
-    eps, M = cfg.eps, cfg.M
-    m = inst.m
-    eta = cfg.eta if cfg.eta is not None else eps / (2.0 * _lnm(m))
-    p = SoftmaxParams(eta=eta, m=m)
-    max_iters = cfg.max_iterations or iteration_cap_nonmonotone(inst.n, m, eps)
-    target = math.exp(-1.0 - 10.0 * eps) * M
-
-    rounds = RoundCounter()
-    x = _start_point(inst)
-    z = x.copy()
-    t = smax(inst.A @ z, p)
-    fx = obj.eval(x)
-    rounds.observe(1)
-
-    notes: list = []
-    termination = CONVERGED
-    iters = 0
-    coord_updates = np.zeros(inst.n)
-    gain_note = False
-
-    while fx <= target:
-        if iters >= max_iters:
-            termination = ITERATION_CAP
-            break
-        lam = M * (math.exp(-t) - 2.0 * eps) - fx
-        if lam <= 0:
-            termination = GUESS_REJECTED
-            notes.append(f"iteration {iters}: lambda = {lam:.6g} <= 0 "
-                         "(guess/time inconsistency)")
-            break
-        c = np.maximum((1.0 - x) * obj.grad((1.0 + eta) * x), 0.0)
-        pot = smax_grad(inst.A @ z, p)
-        score = inst.A.T @ pot
-        mvec = np.zeros(inst.n)
-        live = c > 1e-15 * M
-        mvec[live] = np.maximum(1.0 - lam * score[live] / c[live], 0.0)
-        d = eta * x * mvec
-        if float(d.sum()) <= 0.0:
-            termination = GUESS_REJECTED
-            notes.append(f"iteration {iters}: zero update direction")
-            break
-        x_new = x + d * (1.0 - x)
-        z_new = z + d
-        fx_new = obj.eval(x_new)
-        t_new = smax(inst.A @ z_new, p)
-        if cfg.check_invariants and t_new > t + 1e-12:
-            if fx_new - fx < lam * (t_new - t) - 1e-9 * max(M, 1.0):
-                rate = (fx_new - fx) / (t_new - t)
-                raise InvariantViolation(
-                    f"gain rate {rate:.6g} below lambda {lam:.6g}")
-        if cfg.check_invariants:
-            bound = (1.0 + eps) * (1.0 - math.exp(-t_new))
-            if float(x_new.max()) > bound + 1e-9:
-                raise InvariantViolation(
-                    f"||x||_inf = {float(x_new.max()):.6g} exceeds "
-                    f"(1+eps)(1-e^-t) = {bound:.6g}")
-        gain_lhs = math.exp(t_new) * fx_new
-        gain_rhs = (1.0 - 2.0 * math.e * eps) * (t_new - t) * M + math.exp(t) * fx
-        if gain_lhs < gain_rhs - 1e-9 * M and not gain_note:
-            notes.append(f"iteration {iters}: exponential-gain recurrence short "
-                         f"by {gain_rhs - gain_lhs:.3g}")
-            gain_note = True
-        coord_updates += mvec
-        x, z, t, fx = x_new, z_new, t_new, fx_new
-        iters += 1
-        rounds.observe(inst.n + 2)
-        if fx <= target and t > 1.0 - eps + 1e-9:
-            termination = GUESS_REJECTED
-            notes.append(f"iteration {iters}: potential {t:.6g} exhausted "
-                         "before the value target")
-            break
-
-    _budget_notes(coord_updates, x, inst, eta, notes)
-
-    ax_inf = float((inst.A @ x).max())
-    feasible = ax_inf <= 1.0 - 2.0 * eps + 1e-9
-    if termination == CONVERGED:
-        s_final = smax(inst.A @ x, p)
-        if cfg.check_invariants and s_final > 1.0 - 2.0 * eps + 1e-9:
+        s_final = smax(Ax, p)
+        if s_final > 1.0 - 2.0 * eps + 1e-9:
             raise InvariantViolation(
                 f"converged with smax {s_final:.6g} > 1 - 2*eps")
     elif not feasible:

@@ -21,11 +21,6 @@ PARTITION = "partition"
 LAMINAR = "laminar"
 
 
-@dataclass(frozen=True)
-class TightSet:
-    members: frozenset
-
-
 class RankOracleError(RuntimeError):
     """Signals an internal inconsistency in a rank oracle computation."""
 
@@ -48,7 +43,7 @@ class PolymatroidInstance:
 
     @classmethod
     def uniform(cls, n: int, k: float):
-        if k < 0:
+        if not k >= 0:
             raise ValueError("budget must be non-negative")
         return cls(kind=UNIFORM, n=n, family=[(frozenset(range(n)), float(k))])
 
@@ -60,7 +55,7 @@ class PolymatroidInstance:
         family = []
         for part, cap in zip(parts, caps):
             part = frozenset(part)
-            if cap < 0:
+            if not cap >= 0:
                 raise ValueError("capacities must be non-negative")
             if any(not (0 <= i < n) for i in part):
                 raise ValueError("part element out of range")
@@ -77,7 +72,7 @@ class PolymatroidInstance:
         family = []
         for members, cap in zip(sets, caps):
             members = frozenset(members)
-            if cap < 0:
+            if not cap >= 0:
                 raise ValueError("capacities must be non-negative")
             if any(not (0 <= i < n) for i in members):
                 raise ValueError("set element out of range")
@@ -143,7 +138,7 @@ class PolymatroidInstance:
                 return False
         return True
 
-    def tight_set(self, x, scale: float = 1.0, tol: float = TIGHT_TOL) -> TightSet:
+    def tight_set(self, x, scale: float = 1.0, tol: float = TIGHT_TOL) -> frozenset:
         """The unique maximal S with x(S) = scale * r(S)."""
         x = self._vec(x)
         if not self.membership(x, scale, tol):
@@ -152,7 +147,7 @@ class PolymatroidInstance:
         for members, cap in self.family:
             if sum(x[i] for i in members) >= scale * cap - tol:
                 tight |= members
-        return TightSet(frozenset(tight))
+        return frozenset(tight)
 
     # -- water-filling ----------------------------------------------------
 

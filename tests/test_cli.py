@@ -129,6 +129,60 @@ def test_verify_on_fixture(capsys):
     assert rep["opt"] == pytest.approx(0.95, abs=0.02)
 
 
+def test_verify_honours_guess(capsys):
+    code = main(["verify", str(FIXTURE), "--guess", "95"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["guess_used"] == 95.0
+
+
+def _set(path, value):
+    """The fixture's text with the field at `path` set to `value`."""
+    def mutate(data):
+        *parents, last = path
+        node = data
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        return json.dumps(data)
+    return mutate
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("mutate, match", [
+    (_set(["objective", "weights", 0], NAN), "non-finite"),
+    (_set(["objective", "weights", 1], INF), "non-finite"),
+    (_set(["constraint", "triplets", 0, 2], -INF), "non-finite"),
+    (lambda data: json.dumps(data).replace('"weights": [1.0, 1.0]',
+                                           '"weights": [1e999, 1.0]'),
+     "non-finite"),
+    (_set(["constraint"], {"type": "polymatroid", "kind": "uniform",
+                           "n": 2, "k": NAN}), "non-finite"),
+    (_set(["constraint", "m"], 1.0), "constraint.m"),
+    (_set(["constraint", "n"], "2"), "constraint.n"),
+    (_set(["objective", "weights"], [1.0, 1.0, 1.0]), "constraint.n"),
+    (_set(["seed"], "abc"), "seed"),
+    (_set(["seed"], 1.7), "seed"),
+])
+def test_bad_instance_values_rejected(tmp_path, capsys, mutate, match):
+    text = mutate(json.loads(FIXTURE.read_text()))
+    path = tmp_path / "inst.json"
+    path.write_text(text)
+    command = ("solve-packing" if '"packing"' in text else "solve-matroid")
+    assert main([command, str(path), "--guess", "0.95"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and match in err
+
+
+@pytest.mark.parametrize("flags", [["--max-iters", "0"], ["--max-iters", "-3"],
+                                   ["--guess", "abc"], ["--guess", "nan"],
+                                   ["--guess", "-1"]])
+def test_bad_flag_values_rejected(capsys, flags):
+    assert main(["solve-packing", str(FIXTURE)] + flags) == 1
+    assert flags[0] in capsys.readouterr().err
+
+
 def test_selftest_subcommand(capsys):
     assert main(["selftest"]) == 0
     rep = json.loads(capsys.readouterr().out)

@@ -67,9 +67,9 @@ def test_membership_matches_bruteforce(seed):
 def test_tight_set_examples():
     pm = PolymatroidInstance.partition(4, [[0, 1], [2, 3]], [1, 1])
     t = pm.tight_set(np.array([0.5, 0.5, 0.1, 0.1]), 1.0)
-    assert t.members == frozenset([0, 1])
+    assert t == frozenset([0, 1])
     t = pm.tight_set(np.array([0.1, 0.1, 0.1, 0.1]), 1.0)
-    assert t.members == frozenset()
+    assert t == frozenset()
 
 
 def test_tight_set_is_maximal_tight():
@@ -79,7 +79,7 @@ def test_tight_set_is_maximal_tight():
         x = rng.uniform(0, 0.5, size=4)
         if not pm.membership(x):
             continue
-        T = pm.tight_set(x).members
+        T = pm.tight_set(x)
         # tightness of T itself
         assert sum(x[i] for i in T) == pytest.approx(pm.rank(T), abs=1e-8)
         # no strictly larger tight set exists
