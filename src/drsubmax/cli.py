@@ -32,6 +32,9 @@ EXIT_ITER_CAP = 4
 _EXIT_BY_TERMINATION = {CONVERGED: EXIT_OK, GUESS_REJECTED: EXIT_GUESS,
                         ITERATION_CAP: EXIT_ITER_CAP}
 
+# largest m * n accepted for a packing matrix, which is held dense
+MAX_PACKING_ENTRIES = 10_000_000
+
 
 class InstanceError(ValueError):
     """Malformed instance file; message carries the offending field path."""
@@ -140,6 +143,15 @@ def parse_instance(text: Union[str, bytes]) -> InstanceFile:
         trips = con.get("triplets")
         if not isinstance(trips, list):
             raise InstanceError("constraint.triplets: missing or not a list")
+        # checked before A is allocated
+        if n > len(trips):
+            raise InstanceError(
+                f"constraint.n: {n} columns but {len(trips)} triplets; "
+                "every column needs a nonzero entry")
+        if m * n > MAX_PACKING_ENTRIES:
+            raise InstanceError(
+                f"constraint.m: m * n = {m * n} exceeds the limit of "
+                f"{MAX_PACKING_ENTRIES} matrix entries")
         prev = None
         for idx, t in enumerate(trips):
             if not (isinstance(t, list) and len(t) == 3):

@@ -94,14 +94,13 @@ def solve_with_guessing(obj: ObjectiveSpec,
     if isinstance(constraint, PackingInstance):
         # best single-coordinate feasible point; singletons themselves may
         # violate Ax <= 1, so the ladder must reach below m0
-        m_low = 0.0
         colmax = constraint.A.max(axis=0)
-        for i in range(constraint.n):
-            if i in constraint.fixed_zero or colmax[i] <= 0:
-                continue
-            point = np.zeros(constraint.n)
-            point[i] = min(1.0, (1.0 - eps) / colmax[i])
-            m_low = max(m_low, obj.eval(point))
+        colmax[constraint.fixed_zero] = 0.0
+        usable = np.flatnonzero(colmax > 0)
+        points = np.zeros((usable.size, constraint.n))
+        points[np.arange(usable.size), usable] = np.minimum(
+            1.0, (1.0 - eps) / colmax[usable])
+        m_low = float(obj.eval_many(points).max(initial=0.0))
         if not monotone:
             constraint = add_box_rows(constraint)  # once, not once per guess
     ladder = build_ladder(obj, eps, m_low=m_low)

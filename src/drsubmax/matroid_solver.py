@@ -149,7 +149,7 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
     feasible = pm.membership(z, 1.0)
     if not feasible:
         raise InvariantViolation("returned solution is outside the polymatroid")
-    slack = _polymatroid_margin(pm, z)
+    slack = pm.slack(z)
     return SolveReport(
         solution=z, value=value, epochs=epochs, inner_iterations=total_inner,
         adaptive_rounds=rounds.rounds, feasible=feasible, guess_used=M,
@@ -163,21 +163,5 @@ def _initial_point(pm, n, eps, D, scale) -> np.ndarray:
         if pm.rank([i]) <= 0:
             x0[i] = 0.0
     if not pm.membership(x0, scale):
-        factor = 1.0
-        for i in range(n):
-            if x0[i] > 0:
-                factor = min(factor, scale / x0[i])
-        for members, cap in pm.family:
-            s = sum(x0[i] for i in members)
-            if s > 0:
-                factor = min(factor, scale * cap / s)
-        x0 *= factor * (1.0 - 1e-12)
+        x0 *= pm.fit_factor(x0, scale) * (1.0 - 1e-12)
     return x0
-
-
-def _polymatroid_margin(pm, x) -> float:
-    """Minimum slack scale*r(B) - x(B) over family sets and element caps."""
-    margin = float((1.0 - x).min())
-    for members, cap in pm.family:
-        margin = min(margin, cap - sum(x[i] for i in members))
-    return margin

@@ -3,6 +3,8 @@
 Closed-form multilinear extensions (coverage, directed cut, linear) plus a
 Monte-Carlo multilinear wrapper around an arbitrary set function.  Every
 objective exposes a value oracle, a gradient oracle, and singleton values.
+The closed forms are stored as index arrays, so each oracle is one array
+formula over all universe items or arcs.
 
 Values are extended beyond [0,1]^n by clamping at 1 (f(x) = f(x ^ 1)); the
 gradient of a clamped coordinate is 0.  Negative entries are rejected.
@@ -10,7 +12,8 @@ gradient of a clamped coordinate is 0.  Negative entries are rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -19,8 +22,6 @@ COVERAGE = "coverage"
 DIRECTED_CUT = "directed-cut"
 LINEAR = "linear"
 SAMPLED = "sampled-set-function"
-
-_CLOSED_FORM = (COVERAGE, DIRECTED_CUT, LINEAR)
 
 
 @dataclass
@@ -33,45 +34,51 @@ class ObjectiveSpec:
     kind: str
     n: int
     monotone: bool
-    # coverage payload: universe weights and, per universe item, the list of
-    # elements covering it (element-major `covers` is accepted on input).
+    # linear: per-element weights; coverage: weights of the covered universe
+    # items; directed cut: arc weights
     weights: Optional[np.ndarray] = None
-    covered_by: Optional[list] = None
-    covers: Optional[list] = None
-    # directed cut payload
-    arcs: Optional[list] = None
+    # coverage: the distinct (element, item) incidences in item-major order,
+    # as element and covered-item index arrays, and the offset where each
+    # covered item's run starts
+    elems: Optional[np.ndarray] = None
+    item: Optional[np.ndarray] = None
+    starts: Optional[np.ndarray] = None
+    # directed cut: tail and head of each arc
+    tail: Optional[np.ndarray] = None
+    head: Optional[np.ndarray] = None
     # sampled payload
     set_fn: Optional[Callable] = None
     samples: int = 10_000
     seed: int = 0
-    _out_arcs: list = field(default_factory=list, repr=False)
-    _in_arcs: list = field(default_factory=list, repr=False)
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def coverage(cls, weights: Sequence[float], covers: Sequence[Sequence[int]]):
-        """Weighted coverage: element i covers the universe items covers[i]."""
+        """Weighted coverage: element i covers the universe items covers[i].
+
+        Each covers[i] is a set: an item listed twice is covered once.
+        """
         weights = np.asarray(weights, dtype=float)
         if not np.all(weights >= 0):
             raise ValueError("coverage weights must be non-negative")
-        n = len(covers)
         u = len(weights)
-        covered_by = [[] for _ in range(u)]
+        pairs = set()
         for i, items in enumerate(covers):
             for item in items:
                 if not (0 <= item < u):
                     raise ValueError(f"covers[{i}]: universe index {item} out of range")
-                covered_by[item].append(i)
-        return cls(kind=COVERAGE, n=n, monotone=True, weights=weights,
-                   covered_by=covered_by, covers=[list(c) for c in covers])
+                pairs.add((operator.index(item), i))
+        items, elems = np.array(sorted(pairs), dtype=np.intp).reshape(-1, 2).T
+        covered, starts, item = np.unique(items, return_index=True,
+                                          return_inverse=True)
+        return cls(kind=COVERAGE, n=len(covers), monotone=True,
+                   weights=weights[covered], elems=elems, item=item, starts=starts)
 
     @classmethod
     def directed_cut(cls, n: int, arcs: Sequence[tuple]):
         """Weighted directed cut: sum over arcs (u, v, w) of w * x_u * (1 - x_v)."""
-        out_arcs = [[] for _ in range(n)]
-        in_arcs = [[] for _ in range(n)]
-        clean = []
+        tail, head, weights = [], [], []
         for (u, v, w) in arcs:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u},{v}) out of range")
@@ -79,11 +86,12 @@ class ObjectiveSpec:
                 raise ValueError(f"self-loop ({u},{u}) not allowed")
             if not w >= 0:
                 raise ValueError(f"arc ({u},{v}): negative weight {w}")
-            out_arcs[u].append((v, float(w)))
-            in_arcs[v].append((u, float(w)))
-            clean.append((int(u), int(v), float(w)))
-        return cls(kind=DIRECTED_CUT, n=n, monotone=False, arcs=clean,
-                   _out_arcs=out_arcs, _in_arcs=in_arcs)
+            tail.append(operator.index(u))
+            head.append(operator.index(v))
+            weights.append(float(w))
+        return cls(kind=DIRECTED_CUT, n=n, monotone=False,
+                   weights=np.array(weights), tail=np.array(tail, dtype=np.intp),
+                   head=np.array(head, dtype=np.intp))
 
     @classmethod
     def linear(cls, weights: Sequence[float]):
@@ -108,114 +116,84 @@ class ObjectiveSpec:
 
     # -- helpers ----------------------------------------------------------
 
-    def _prep(self, x) -> np.ndarray:
+    def _check(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"expected vector of length {self.n}, got shape {x.shape}")
-        if np.any(x < 0):
+        if x.min(initial=0.0) < 0:
             raise ValueError("negative entries are not allowed")
-        return np.minimum(x, 1.0)
+        return x
 
     def _sample_matrix(self, x: np.ndarray) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
         return rng.random((self.samples, self.n)) < x
 
+    def _values(self, X: np.ndarray) -> np.ndarray:
+        """F at each row of X, whose entries are already clamped to [0, 1]."""
+        if self.kind == LINEAR:
+            return X @ self.weights
+        if self.kind == COVERAGE:
+            if not self.elems.size:
+                return np.zeros(X.shape[0])
+            miss = np.multiply.reduceat(1.0 - X[:, self.elems], self.starts, axis=1)
+            return (1.0 - miss) @ self.weights
+        if self.kind == DIRECTED_CUT:
+            return (X[:, self.tail] * (1.0 - X[:, self.head])) @ self.weights
+        return np.array([np.mean([self.set_fn(frozenset(np.flatnonzero(r)))
+                                  for r in self._sample_matrix(x)]) for x in X])
+
+    def _grad(self, x: np.ndarray) -> np.ndarray:
+        """Gradient of F at x in [0, 1]^n."""
+        if self.kind == LINEAR:
+            return self.weights.copy()
+        if self.kind == COVERAGE:
+            # dF/dx_i sums, over the items i covers, the item weight times
+            # the product of the other coverers' complements.  Zero
+            # complements are left out of the product and counted instead:
+            # a term is 0 when another coverer of its item has one.
+            comp = 1.0 - x[self.elems]
+            zero = comp == 0.0
+            safe = comp + zero
+            part = (self.weights * np.multiply.reduceat(safe, self.starts))[self.item]
+            alone = np.bincount(self.item, zero, self.weights.size)[self.item] == zero
+            return _scatter(self.elems, part / safe * alone, self.n)
+        if self.kind == DIRECTED_CUT:
+            w = self.weights
+            return (_scatter(self.tail, w * (1.0 - x[self.head]), self.n)
+                    - _scatter(self.head, w * x[self.tail], self.n))
+        # Common random numbers: the same sampled sets R are shared by all
+        # coordinates, which removes most of the between-coordinate noise.
+        g = np.zeros(self.n)
+        for r in self._sample_matrix(x):
+            base = frozenset(np.flatnonzero(r))
+            for i in range(self.n):
+                g[i] += self.set_fn(base | {i}) - self.set_fn(base - {i})
+        return g / self.samples
+
     # -- oracles ----------------------------------------------------------
 
     def eval(self, x) -> float:
         """Multilinear extension value F(x); entries above 1 are clamped."""
-        x = self._prep(x)
-        if self.kind == LINEAR:
-            return float(self.weights @ x)
-        if self.kind == COVERAGE:
-            total = 0.0
-            for w, elems in zip(self.weights, self.covered_by):
-                miss = 1.0
-                for i in elems:
-                    miss *= 1.0 - x[i]
-                total += w * (1.0 - miss)
-            return total
-        if self.kind == DIRECTED_CUT:
-            total = 0.0
-            for (u, v, w) in self.arcs:
-                total += w * x[u] * (1.0 - x[v])
-            return total
-        # sampled
-        rows = self._sample_matrix(x)
-        vals = [self.set_fn(frozenset(np.flatnonzero(r))) for r in rows]
-        return float(np.mean(vals))
+        return float(self._values(np.minimum(self._check(x), 1.0)[None])[0])
 
     def eval_many(self, X) -> np.ndarray:
-        """Vectorized eval for closed-form kinds; X has shape (k, n)."""
-        X = np.minimum(np.asarray(X, dtype=float), 1.0)
-        if self.kind == LINEAR:
-            return X @ self.weights
-        if self.kind == COVERAGE:
-            total = np.zeros(X.shape[0])
-            for w, elems in zip(self.weights, self.covered_by):
-                miss = np.ones(X.shape[0])
-                for i in elems:
-                    miss *= 1.0 - X[:, i]
-                total += w * (1.0 - miss)
-            return total
-        if self.kind == DIRECTED_CUT:
-            total = np.zeros(X.shape[0])
-            for (u, v, w) in self.arcs:
-                total += w * X[:, u] * (1.0 - X[:, v])
-            return total
-        raise ValueError("eval_many is only available for closed-form kinds")
+        """eval of every row of X, which has shape (k, n)."""
+        return self._values(np.minimum(np.asarray(X, dtype=float), 1.0))
 
     def grad(self, x) -> np.ndarray:
         """Gradient of F at x ^ 1; coordinates clamped at 1 get gradient 0."""
-        raw = np.asarray(x, dtype=float)
-        if raw.shape != (self.n,):
-            raise ValueError(f"expected vector of length {self.n}, got shape {raw.shape}")
-        if np.any(raw < 0):
-            raise ValueError("negative entries are not allowed")
-        clamped = raw > 1.0
-        x = np.minimum(raw, 1.0)
-        if self.kind == LINEAR:
-            g = self.weights.copy()
-        elif self.kind == COVERAGE:
-            g = np.zeros(self.n)
-            for w, elems in zip(self.weights, self.covered_by):
-                for i in elems:
-                    prod = 1.0
-                    for j in elems:
-                        if j != i:
-                            prod *= 1.0 - x[j]
-                    g[i] += w * prod
-        elif self.kind == DIRECTED_CUT:
-            g = np.zeros(self.n)
-            for u in range(self.n):
-                for (v, w) in self._out_arcs[u]:
-                    g[u] += w * (1.0 - x[v])
-                for (src, w) in self._in_arcs[u]:
-                    g[u] -= w * x[src]
-        else:
-            g = self._sampled_grad(x)
-        g[clamped] = 0.0
+        raw = self._check(x)
+        g = self._grad(np.minimum(raw, 1.0))
+        g[raw > 1.0] = 0.0
         return g
-
-    def _sampled_grad(self, x: np.ndarray) -> np.ndarray:
-        # Common random numbers: the same sampled sets R are shared by all
-        # coordinates, which removes most of the between-coordinate noise.
-        rows = self._sample_matrix(x)
-        g = np.zeros(self.n)
-        for r in rows:
-            base = frozenset(np.flatnonzero(r))
-            for i in range(self.n):
-                with_i = base | {i}
-                without_i = base - {i}
-                g[i] += self.set_fn(with_i) - self.set_fn(without_i)
-        return g / self.samples
 
     def singleton_values(self) -> np.ndarray:
         """(f(1_1), ..., f(1_n)), evaluated exactly for every kind."""
-        vals = np.zeros(self.n)
-        for i in range(self.n):
-            vals[i] = self.set_value(frozenset([i]))
-        return vals
+        if self.kind == SAMPLED:
+            return np.array([float(self.set_fn(frozenset([i])))
+                             for i in range(self.n)])
+        # a closed form is multilinear with F(0) = 0, so f({i}) = dF/dx_i(0)
+        return self._grad(np.zeros(self.n))
 
     def set_value(self, S) -> float:
         """Exact value at the 0/1 point 1_S (the underlying set function)."""
@@ -223,6 +201,10 @@ class ObjectiveSpec:
         if self.kind == SAMPLED:
             return float(self.set_fn(S))
         ind = np.zeros(self.n)
-        for i in S:
-            ind[i] = 1.0
+        ind[list(S)] = 1.0
         return self.eval(ind)
+
+
+def _scatter(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Sum of `values` per index, as floats even when there are none."""
+    return np.bincount(index, values, n).astype(float, copy=False)

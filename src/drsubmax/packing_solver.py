@@ -66,8 +66,10 @@ def normalize_packing(A, eps: float) -> PackingInstance:
     m, n = A.shape
     zero_cols = np.flatnonzero(~A.any(axis=0))
     if zero_cols.size:
+        first = ", ".join(map(str, zero_cols[:5].tolist()))
         raise ValueError(
-            f"all-zero columns {zero_cols.tolist()}: coordinate is unbounded")
+            f"{zero_cols.size} all-zero column(s), first {first}: "
+            "coordinate is unbounded")
     lo, hi = eps / n, n / eps
     transcript = []
     fixed_zero = []

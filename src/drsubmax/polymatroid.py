@@ -8,9 +8,9 @@ without general submodular minimization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,23 +29,21 @@ class RankOracleError(RuntimeError):
 class PolymatroidInstance:
     """P = {x >= 0 : x(S) <= r(S) for all S}, for a structured rank r.
 
-    `family` is a laminar list of (members, capacity) pairs; every element
+    The rank is given by a laminar family of capacitated sets, stored as a
+    (sets x n) 0/1 `incidence` matrix and a `caps` vector; every element
     additionally carries the implicit capacity 1 (so r({i}) <= 1).
     """
 
     kind: str
     n: int
-    family: list  # list of (frozenset, float)
-    # forest structure over family sets, built in __post_init__
-    _children: list = field(default_factory=list, repr=False)
-    _roots: list = field(default_factory=list, repr=False)
-    _sets_of: list = field(default_factory=list, repr=False)
+    incidence: np.ndarray
+    caps: np.ndarray
 
     @classmethod
     def uniform(cls, n: int, k: float):
         if not k >= 0:
             raise ValueError("budget must be non-negative")
-        return cls(kind=UNIFORM, n=n, family=[(frozenset(range(n)), float(k))])
+        return cls._of_family(UNIFORM, n, [(frozenset(range(n)), float(k))])
 
     @classmethod
     def partition(cls, n: int, parts: Sequence[Iterable[int]], caps: Sequence[float]):
@@ -63,7 +61,7 @@ class PolymatroidInstance:
                 raise ValueError("parts must be disjoint")
             seen |= part
             family.append((part, float(cap)))
-        return cls(kind=PARTITION, n=n, family=family)
+        return cls._of_family(PARTITION, n, family)
 
     @classmethod
     def laminar(cls, n: int, sets: Sequence[Iterable[int]], caps: Sequence[float]):
@@ -80,74 +78,60 @@ class PolymatroidInstance:
         for (a, _), (b, _) in combinations(family, 2):
             if a & b and not (a <= b or b <= a):
                 raise ValueError(f"family is not laminar: {sorted(a)} vs {sorted(b)}")
-        return cls(kind=LAMINAR, n=n, family=family)
+        return cls._of_family(LAMINAR, n, family)
 
-    def __post_init__(self):
-        # parent of a family set = its smallest strict superset in the family
-        order = sorted(range(len(self.family)), key=lambda i: len(self.family[i][0]))
-        parent = [None] * len(self.family)
-        for pos, i in enumerate(order):
-            mi = self.family[i][0]
-            for j in order[pos + 1:]:
-                if mi <= self.family[j][0]:
-                    parent[i] = j
-                    break
-        self._children = [[] for _ in self.family]
-        self._roots = []
-        for i, p in enumerate(parent):
-            if p is None:
-                self._roots.append(i)
-            else:
-                self._children[p].append(i)
-        self._sets_of = [[] for _ in range(self.n)]
-        for idx, (members, _) in enumerate(self.family):
-            for e in members:
-                self._sets_of[e].append(idx)
+    @classmethod
+    def _of_family(cls, kind: str, n: int, family: list):
+        """The instance for a checked list of (members, capacity) pairs."""
+        incidence = np.zeros((len(family), n))
+        for row, (members, _) in zip(incidence, family):
+            row[list(members)] = 1.0
+        return cls(kind=kind, n=n, incidence=incidence,
+                   caps=np.array([cap for _, cap in family], dtype=float))
 
     # -- rank -------------------------------------------------------------
 
     def rank(self, S: Iterable[int]) -> float:
-        """r(S), computed bottom-up over the laminar forest."""
+        """r(S), the total of a greedy fill of S from 0 in P.
+
+        Exact: in a polymatroid every maximal point of P restricted to S
+        has x(S) = r(S).
+        """
         S = frozenset(S)
         if any(not (0 <= i < self.n) for i in S):
             raise ValueError("element index out of range")
-
-        def node_rank(idx):
-            members, cap = self.family[idx]
-            covered = frozenset().union(*(self.family[c][0] for c in self._children[idx])) \
-                if self._children[idx] else frozenset()
-            total = sum(node_rank(c) for c in self._children[idx])
-            total += len(S & (members - covered))
-            return min(cap, total)
-
-        total = sum(node_rank(r) for r in self._roots)
-        covered = frozenset().union(*(self.family[r][0] for r in self._roots)) \
-            if self._roots else frozenset()
-        total += len(S - covered)
-        return float(total)
+        return float(self._fill(dict.fromkeys(S, 1.0), np.zeros(self.caps.size),
+                                self.caps).sum())
 
     # -- membership and tight sets ---------------------------------------
 
     def membership(self, x, scale: float = 1.0, tol: float = TIGHT_TOL) -> bool:
         """True iff x(S) <= scale * r(S) for all S (exact for these kinds)."""
         x = self._vec(x)
-        if np.any(x > scale + tol):
-            return False
-        for members, cap in self.family:
-            if sum(x[i] for i in members) > scale * cap + tol:
-                return False
-        return True
+        return self._fits(x, self.incidence @ x, scale, tol)
 
     def tight_set(self, x, scale: float = 1.0, tol: float = TIGHT_TOL) -> frozenset:
         """The unique maximal S with x(S) = scale * r(S)."""
         x = self._vec(x)
-        if not self.membership(x, scale, tol):
+        sums = self.incidence @ x
+        if not self._fits(x, sums, scale, tol):
             raise ValueError("x is not in scale * P")
-        tight = set(int(i) for i in np.flatnonzero(x >= scale - tol))
-        for members, cap in self.family:
-            if sum(x[i] for i in members) >= scale * cap - tol:
-                tight |= members
-        return frozenset(tight)
+        in_tight_set = (sums >= scale * self.caps - tol) @ self.incidence > 0
+        return frozenset(((x >= scale - tol) | in_tight_set).nonzero()[0].tolist())
+
+    def slack(self, x) -> float:
+        """Minimum residual capacity, over element caps and family sets."""
+        x = self._vec(x)
+        return float(min((1.0 - x).min(initial=np.inf),
+                         (self.caps - self.incidence @ x).min(initial=np.inf)))
+
+    def fit_factor(self, x, scale: float = 1.0) -> float:
+        """Largest t <= 1 with t * x within every cap of scale * P."""
+        x = self._vec(x)
+        loads = np.concatenate([x, self.incidence @ x])
+        caps = scale * np.concatenate([np.ones(self.n), self.caps])
+        used = loads > 0
+        return float(min(1.0, (caps[used] / loads[used]).min(initial=np.inf)))
 
     # -- water-filling ----------------------------------------------------
 
@@ -161,24 +145,36 @@ class PolymatroidInstance:
         """
         x = self._vec(x)
         scale = eps / (1.0 + eps)
-        if not self.membership(x, scale, tol):
+        sums = self.incidence @ x
+        if not self._fits(x, sums, scale, tol):
             raise ValueError("(1+eps) * x is not in eps * P")
-        eligible = set(eligible)
+        bound = np.minimum(eps * x, scale - x).tolist()
+        return self._fill({i: bound[i] for i in eligible}, sums, scale * self.caps)
+
+    def _fill(self, bounds: dict, sums, caps) -> np.ndarray:
+        """Raise each coordinate i of `bounds` in ascending index order, as far
+        as bounds[i] and the residuals caps - sums of its sets allow.
+
+        The fill is sequential, so it runs on Python floats, which are
+        cheaper per step than numpy scalars.
+        """
+        order = sorted(bounds)
+        sets_of = [[] for _ in order]
+        for j, r in zip(*(a.tolist() for a in np.nonzero(self.incidence[:, order].T))):
+            sets_of[j].append(r)
+        sums, caps = sums.tolist(), caps.tolist()
         y = np.zeros(self.n)
-        set_sums = [sum(x[i] for i in members) for members, _ in self.family]
-        for i in range(self.n):
-            if i not in eligible:
-                continue
-            step = min(eps * x[i], scale - x[i])
-            for idx in self._sets_of[i]:
-                members, cap = self.family[idx]
-                step = min(step, scale * cap - set_sums[idx])
-            step = max(step, 0.0)
+        for i, rows in zip(order, sets_of):
+            step = min([bounds[i]] + [caps[r] - sums[r] for r in rows])
             if step > 0:
                 y[i] = step
-                for idx in self._sets_of[i]:
-                    set_sums[idx] += step
+                for r in rows:
+                    sums[r] += step
         return y
+
+    def _fits(self, x, sums, scale, tol) -> bool:
+        return not (x.max(initial=0.0) > scale + tol
+                    or (sums > scale * self.caps + tol).any())
 
     # -- exchange vector (test-support oracle) ----------------------------
 
@@ -264,7 +260,7 @@ class PolymatroidInstance:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"expected vector of length {self.n}, got shape {x.shape}")
-        if np.any(x < 0):
+        if x.min(initial=0.0) < 0:
             raise ValueError("negative entries are not allowed")
         return x
 

@@ -164,6 +164,9 @@ NAN, INF = float("nan"), float("inf")
     (_set(["objective", "weights"], [1.0, 1.0, 1.0]), "constraint.n"),
     (_set(["seed"], "abc"), "seed"),
     (_set(["seed"], 1.7), "seed"),
+    # rejected before the dense matrix is allocated
+    pytest.param(_set(["constraint", "m"], 10**12), "constraint.m", id="huge-m"),
+    pytest.param(_set(["constraint", "n"], 10**12), "constraint.n", id="huge-n"),
 ])
 def test_bad_instance_values_rejected(tmp_path, capsys, mutate, match):
     text = mutate(json.loads(FIXTURE.read_text()))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drsubmax.bruteforce import finite_diff_grad, multilinear_enumeration
 from drsubmax.objective import ObjectiveSpec
@@ -76,18 +78,56 @@ def test_grads_match_finite_differences():
             np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-7)
 
 
+def repeated_item_example():
+    # element 0 lists universe item 0 twice; it still covers it once
+    return ObjectiveSpec.coverage([1.0], [[0, 0], [0]])
+
+
+def closed_form_examples():
+    return [ObjectiveSpec.linear([1.0, 2.0, 0.5]),
+            cover_example(),
+            # a repeated item, and item 2 which no element covers
+            ObjectiveSpec.coverage([1.0, 2.0, 4.0], [[0, 0, 1], [0], [1]]),
+            # parallel arcs 0 -> 1
+            ObjectiveSpec.directed_cut(3, [(0, 1, 1.0), (0, 1, 0.5), (1, 2, 2.0),
+                                           (2, 0, 0.25)])]
+
+
 def test_eval_many_matches_eval():
-    obj = cover_example()
     rng = np.random.default_rng(4)
-    X = rng.uniform(0, 1, size=(20, 3))
-    many = obj.eval_many(X)
-    for row, v in zip(X, many):
-        assert obj.eval(row) == pytest.approx(v)
+    for obj in closed_form_examples():
+        X = rng.uniform(0, 1.2, size=(20, obj.n))
+        X[::3, 0] = 1.0
+        many = obj.eval_many(X)
+        for row, v in zip(X, many):
+            assert obj.eval(row) == v
+
+
+_entries = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0),
+                     st.floats(1.0, 2.0, exclude_min=True))
+
+
+@given(st.integers(0, 3), st.lists(_entries, min_size=3, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_grad_is_the_multilinear_difference(which, entries):
+    # F is multilinear, so dF/dx_i = F(x with x_i=1) - F(x with x_i=0),
+    # also at the boundary points finite differences cannot reach
+    obj = closed_form_examples()[which]
+    x = np.array(entries)
+    g = obj.grad(x)
+    tol = 1e-12 * (1.0 + abs(obj.eval(x)))
+    for i in range(obj.n):
+        if x[i] > 1.0:
+            assert g[i] == 0.0
+            continue
+        hi, lo = x.copy(), x.copy()
+        hi[i], lo[i] = 1.0, 0.0
+        assert abs(g[i] - (obj.eval(hi) - obj.eval(lo))) <= tol
 
 
 def test_eval_equals_multilinear_enumeration():
     # closed forms are multilinear, so enumeration must agree exactly
-    objs = [cover_example(),
+    objs = [cover_example(), repeated_item_example(),
             ObjectiveSpec.directed_cut(3, [(0, 1, 1.0), (2, 1, 0.5)])]
     rng = np.random.default_rng(9)
     for obj in objs:

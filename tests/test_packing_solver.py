@@ -38,6 +38,11 @@ def test_normalize_raises_tiny_entries_and_keeps_zeros():
 def test_normalize_rejects_zero_column():
     with pytest.raises(ValueError, match="all-zero"):
         normalize_packing([[1.0, 0.0]], EPS)
+    A = np.zeros((1, 10_000))
+    A[0, 7] = 1.0
+    with pytest.raises(ValueError, match="9999 all-zero") as err:
+        normalize_packing(A, EPS)
+    assert len(str(err.value)) < 100
 
 
 def test_linear_single_row_example():

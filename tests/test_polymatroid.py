@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,35 @@ def test_laminar_rank():
     assert pm.rank(range(4)) == 3
     assert pm.rank([0, 2, 3]) == 3
     assert pm.rank([1]) == 1
+
+
+def rank_reference(family, S):
+    """min over subcollections F of the family of cap(F) + |S minus union(F)|."""
+    best = len(S)
+    for k in range(1, len(family) + 1):
+        for chosen in combinations(family, k):
+            covered = frozenset().union(*(members for members, _ in chosen))
+            best = min(best, sum(cap for _, cap in chosen) + len(S - covered))
+    return best
+
+
+def _laminar_case(n):
+    drawn = st.lists(st.tuples(st.frozensets(st.integers(0, n - 1), min_size=1),
+                               st.floats(0.0, 4.0)), max_size=5)
+    return st.tuples(st.just(n), drawn, st.frozensets(st.integers(0, n - 1)))
+
+
+@given(st.integers(1, 6).flatmap(_laminar_case))
+@settings(max_examples=200, deadline=None)
+def test_rank_matches_min_over_subcollections(case):
+    n, drawn, S = case
+    family = []
+    for members, cap in drawn:  # keep the drawn sets that stay laminar
+        if all(not members & m or members <= m or m <= members for m, _ in family):
+            family.append((members, cap))
+    pm = PolymatroidInstance.laminar(n, [sorted(m) for m, _ in family],
+                                     [cap for _, cap in family])
+    assert pm.rank(S) == pytest.approx(rank_reference(family, S), abs=1e-9)
 
 
 def test_rank_is_monotone_and_submodular():
