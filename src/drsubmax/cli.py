@@ -18,7 +18,8 @@ import numpy as np
 from .bruteforce import brute_force_matroid_opt, grid_fractional_opt
 from .guessing import solve_single, solve_with_guessing
 from .objective import COVERAGE, DIRECTED_CUT, LINEAR, ObjectiveSpec
-from .packing_solver import PackingInstance, normalize_packing
+from .packing_solver import (MAX_PACKING_ENTRIES, PackingInstance,
+                             normalize_packing)
 from .polymatroid import LAMINAR, PARTITION, UNIFORM, PolymatroidInstance
 from .report import (CONVERGED, GUESS_REJECTED, ITERATION_CAP, GuessExhausted,
                      InvariantViolation)
@@ -31,9 +32,6 @@ EXIT_ITER_CAP = 4
 
 _EXIT_BY_TERMINATION = {CONVERGED: EXIT_OK, GUESS_REJECTED: EXIT_GUESS,
                         ITERATION_CAP: EXIT_ITER_CAP}
-
-# largest m * n accepted for a packing matrix, which is held dense
-MAX_PACKING_ENTRIES = 10_000_000
 
 
 class InstanceError(ValueError):
@@ -240,12 +238,19 @@ def _solve(args):
             raise InstanceError(f"constraint.type: {args.command} needs a "
                                 f"{name} constraint")
     monotone = _resolve_monotone(args.monotone, obj)
-    if M is None:
-        report = solve_with_guessing(obj, constraint, eps, monotone=monotone,
-                                     max_iterations=args.max_iters)
-    else:
-        report = solve_single(obj, constraint, eps, M, monotone=monotone,
-                              max_iterations=args.max_iters)
+    try:
+        # the size limits that depend on eps and on the solver variant (the
+        # ladder length, the iteration cap, the non-monotone box rows) are
+        # checked by the solvers before they allocate anything
+        if M is None:
+            report = solve_with_guessing(obj, constraint, eps,
+                                         monotone=monotone,
+                                         max_iterations=args.max_iters)
+        else:
+            report = solve_single(obj, constraint, eps, M, monotone=monotone,
+                                  max_iterations=args.max_iters)
+    except ValueError as exc:
+        raise InstanceError(str(exc)) from exc
     return inst, obj, constraint, report
 
 

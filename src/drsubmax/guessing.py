@@ -3,8 +3,11 @@
 The solvers need M with M <= f(x*) <= (1+eps)M.  The max singleton value
 m0 is an n-approximation, so the geometric ladder m0*(1+eps)^k for
 k = 0..ceil(2 ln n / eps) contains a valid guess.  All guesses run
-independently (conceptually in parallel), so the combined adaptivity is
-one singleton batch plus the max over guesses.
+independently, so the combined adaptivity is one singleton batch plus the
+max over guesses.  Packing guesses run in lockstep, as one batched state
+advanced one iteration at a time (packing_solver.solve_packing_guesses);
+matroid guesses run one after another, since their water-fill is
+sequential.
 """
 
 from __future__ import annotations
@@ -18,11 +21,15 @@ import numpy as np
 from .matroid_solver import (MatroidSolverConfig, solve_matroid_monotone,
                              solve_matroid_nonmonotone)
 from .objective import ObjectiveSpec
-from .packing_solver import (PackingInstance, PackingSolverConfig,
-                             add_box_rows, solve_packing_monotone,
+from .packing_solver import (MAX_PACKING_ENTRIES, PackingInstance,
+                             PackingSolverConfig, add_box_rows,
+                             solve_packing_guesses, solve_packing_monotone,
                              solve_packing_nonmonotone)
 from .polymatroid import PolymatroidInstance
 from .report import CONVERGED, GuessExhausted, SolveReport
+
+# most guesses a ladder may hold; a smaller eps asks for a longer ladder
+MAX_LADDER_GUESSES = 100_000
 
 
 @dataclass
@@ -39,17 +46,24 @@ def build_ladder(obj: ObjectiveSpec, eps: float,
     m0 = max singleton value only lower-bounds the optimum when singletons
     are feasible (the matroid case).  Under packing constraints they may
     not be, so callers can pass `m_low`, a feasible-point value, and the
-    ladder is extended downward to cover [m_low, n*m0].
+    ladder is extended downward to cover [m_low, n*m0].  A ladder of more
+    than MAX_LADDER_GUESSES guesses raises ValueError before it is built.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     m0 = float(obj.singleton_values().max()) if obj.n else 0.0
     if m0 <= 0:
         return GuessLadder(m0=0.0, eps=eps, guesses=[])
-    k_max = math.ceil(2.0 * math.log(max(obj.n, 2)) / eps)
-    k_min = 0
+    up = 2.0 * math.log(max(obj.n, 2)) / eps
+    down = 0.0
     if m_low is not None and 0 < m_low < m0:
-        k_min = -math.ceil(math.log(m0 / m_low) / math.log1p(eps))
+        down = math.log(m0 / m_low) / math.log1p(eps)
+    # compared as floats first: at a tiny eps they are too large to round
+    if not (up + down <= MAX_LADDER_GUESSES
+            and math.ceil(up) + math.ceil(down) < MAX_LADDER_GUESSES):
+        raise ValueError(f"eps = {eps:g} asks for a ladder of more than "
+                         f"{MAX_LADDER_GUESSES} guesses")
+    k_max, k_min = math.ceil(up), -math.ceil(down)
     guesses = [m0 * (1.0 + eps) ** k for k in range(k_min, k_max + 1)]
     return GuessLadder(m0=m0, eps=eps, guesses=guesses)
 
@@ -61,7 +75,9 @@ def solve_single(obj: ObjectiveSpec,
     """One solver run at guess M, chosen by the constraint type and `monotone`.
 
     The solvers are looked up in this module's namespace at call time, so
-    a wrapper installed on one of these names sees every guess.
+    a wrapper installed on one of these names sees every such run: the
+    CLI's --guess runs and each matroid ladder guess.  Packing ladder
+    guesses run in lockstep in solve_packing_guesses instead.
     """
     if isinstance(constraint, PackingInstance):
         cfg = PackingSolverConfig(eps=eps, M=M, max_iterations=max_iterations)
@@ -93,14 +109,19 @@ def solve_with_guessing(obj: ObjectiveSpec,
     m_low = None
     if isinstance(constraint, PackingInstance):
         # best single-coordinate feasible point; singletons themselves may
-        # violate Ax <= 1, so the ladder must reach below m0
+        # violate Ax <= 1, so the ladder must reach below m0.  The points
+        # are evaluated in blocks of at most MAX_PACKING_ENTRIES entries.
         colmax = constraint.A.max(axis=0)
         colmax[constraint.fixed_zero] = 0.0
         usable = np.flatnonzero(colmax > 0)
-        points = np.zeros((usable.size, constraint.n))
-        points[np.arange(usable.size), usable] = np.minimum(
-            1.0, (1.0 - eps) / colmax[usable])
-        m_low = float(obj.eval_many(points).max(initial=0.0))
+        step = max(1, MAX_PACKING_ENTRIES // constraint.n)
+        m_low = 0.0
+        for lo in range(0, usable.size, step):
+            cols = usable[lo:lo + step]
+            points = np.zeros((cols.size, constraint.n))
+            points[np.arange(cols.size), cols] = np.minimum(
+                1.0, (1.0 - eps) / colmax[cols])
+            m_low = max(m_low, float(obj.eval_many(points).max(initial=0.0)))
         if not monotone:
             constraint = add_box_rows(constraint)  # once, not once per guess
     ladder = build_ladder(obj, eps, m_low=m_low)
@@ -115,9 +136,15 @@ def solve_with_guessing(obj: ObjectiveSpec,
     best = None
     max_rounds = 0
     trace = []
-    for M in ladder.guesses:
-        report = solve_single(obj, constraint, eps, M, monotone=monotone,
-                              max_iterations=max_iterations)
+    if isinstance(constraint, PackingInstance):
+        reports = solve_packing_guesses(obj, constraint, eps, ladder.guesses,
+                                        monotone=monotone,
+                                        max_iterations=max_iterations)
+    else:
+        reports = [solve_single(obj, constraint, eps, M, monotone=monotone,
+                                max_iterations=max_iterations)
+                   for M in ladder.guesses]
+    for M, report in zip(ladder.guesses, reports):
         max_rounds = max(max_rounds, report.adaptive_rounds)
         trace.append((M, report.termination, report.value))
         if not report.feasible:

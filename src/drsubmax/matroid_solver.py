@@ -19,7 +19,7 @@ import numpy as np
 from .objective import ObjectiveSpec
 from .polymatroid import PolymatroidInstance
 from .report import (CONVERGED, GUESS_REJECTED, ITERATION_CAP,
-                     InvariantViolation, RoundCounter, SolveReport)
+                     InvariantViolation, RoundCounter, SolveReport, finite_cap)
 
 ITER_BUDGET_K = 64
 
@@ -39,7 +39,7 @@ class MatroidSolverConfig:
 
 def iteration_budget(n: int, eps: float) -> int:
     """Default inner-iteration cap, K * log^2(n/eps) / eps^3."""
-    return int(math.ceil(ITER_BUDGET_K * math.log(n / eps) ** 2 / eps ** 3))
+    return finite_cap(ITER_BUDGET_K * math.log(n / eps) ** 2, eps, 3)
 
 
 def solve_matroid_monotone(obj: ObjectiveSpec, pm: PolymatroidInstance,
@@ -66,8 +66,8 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
 
     singles = obj.singleton_values()
     D = max(n / eps, float(singles.max()) / M)
-    max_inner = (iteration_budget(n, eps) if cfg.max_iterations is None
-                 else cfg.max_iterations)
+    budget = iteration_budget(n, eps)  # raises when eps is too small for it
+    max_inner = budget if cfg.max_iterations is None else cfg.max_iterations
 
     rounds = RoundCounter()
     rounds.observe(n)  # singleton batch for the gradient-scale bound

@@ -13,7 +13,7 @@ gradient of a clamped coordinate is 0.  Negative entries are rejected.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -116,13 +116,32 @@ class ObjectiveSpec:
 
     # -- helpers ----------------------------------------------------------
 
-    def _check(self, x) -> np.ndarray:
+    def _check(self, x, ndim: int = 1) -> np.ndarray:
+        """x as floats: a vector of length n (ndim 1) or a (k, n) matrix."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"expected vector of length {self.n}, got shape {x.shape}")
+        if x.ndim != ndim or x.shape[-1] != self.n:
+            raise ValueError(f"expected {'vector' if ndim == 1 else 'rows'} of "
+                             f"length {self.n}, got shape {x.shape}")
         if x.min(initial=0.0) < 0:
             raise ValueError("negative entries are not allowed")
         return x
+
+    def _copies(self, k: int) -> "ObjectiveSpec":
+        """k disjoint copies of this closed form, as one objective on k * n
+        elements: copy j's elements are j * n .. j * n + n - 1."""
+        if k == 1:
+            return self
+        shift = np.arange(k)[:, None]
+        offset = {}
+        if self.kind == COVERAGE:
+            offset = {"elems": self.n, "item": self.weights.size,
+                      "starts": self.elems.size}
+        elif self.kind == DIRECTED_CUT:
+            offset = {"tail": self.n, "head": self.n}
+        arrays = {name: (getattr(self, name) + size * shift).ravel()
+                  for name, size in offset.items()}
+        return replace(self, n=k * self.n, weights=np.tile(self.weights, k),
+                       **arrays)
 
     def _sample_matrix(self, x: np.ndarray) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
@@ -178,12 +197,27 @@ class ObjectiveSpec:
 
     def eval_many(self, X) -> np.ndarray:
         """eval of every row of X, which has shape (k, n)."""
-        return self._values(np.minimum(np.asarray(X, dtype=float), 1.0))
+        return self._values(np.minimum(self._check(X, ndim=2), 1.0))
 
     def grad(self, x) -> np.ndarray:
         """Gradient of F at x ^ 1; coordinates clamped at 1 get gradient 0."""
         raw = self._check(x)
         g = self._grad(np.minimum(raw, 1.0))
+        g[raw > 1.0] = 0.0
+        return g
+
+    def grad_many(self, X) -> np.ndarray:
+        """grad of every row of X, which has shape (k, n).
+
+        A closed form takes the gradient of k disjoint copies of itself at
+        the rows laid end to end, so row i equals grad(X[i]) exactly.
+        """
+        raw = self._check(X, ndim=2)
+        clamped = np.minimum(raw, 1.0)
+        if self.kind == SAMPLED:
+            g = np.array([self._grad(x) for x in clamped]).reshape(raw.shape)
+        else:
+            g = self._copies(raw.shape[0])._grad(clamped.ravel()).reshape(raw.shape)
         g[raw > 1.0] = 0.0
         return g
 

@@ -10,18 +10,23 @@ time t through an undamped companion vector z.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
 from .objective import ObjectiveSpec
 from .report import (CONVERGED, GUESS_REJECTED, ITERATION_CAP,
-                     InvariantViolation, RoundCounter, SolveReport)
+                     InvariantViolation, SolveReport, finite_cap)
 from .softmax import SoftmaxParams, smax, smax_grad
 
 ITER_CAP_K = 64
 COORD_BUDGET_K = 16
+# largest m * n accepted for a packing matrix, which is held dense; it also
+# bounds the box rows and the lockstep state of a ladder
+MAX_PACKING_ENTRIES = 10_000_000
 
 
 @dataclass
@@ -90,9 +95,18 @@ def normalize_packing(A, eps: float) -> PackingInstance:
 
 
 def add_box_rows(inst: PackingInstance) -> PackingInstance:
-    """Append the n identity rows so x_i <= 1 rides the same machinery."""
+    """Append the n identity rows so x_i <= 1 rides the same machinery.
+
+    The boxed matrix is dense, so (m + n) * n may not exceed
+    MAX_PACKING_ENTRIES; that is checked before anything is allocated.
+    """
     if inst.includes_box:
         return inst
+    entries = (inst.m + inst.n) * inst.n
+    if entries > MAX_PACKING_ENTRIES:
+        raise ValueError(
+            f"the {inst.n} box rows make (m + n) * n = {entries} matrix "
+            f"entries, above the limit of {MAX_PACKING_ENTRIES}")
     A = np.vstack([inst.A, np.eye(inst.n)])
     return PackingInstance(A=A, eps=inst.eps, includes_box=True,
                            fixed_zero=list(inst.fixed_zero),
@@ -111,10 +125,19 @@ class PackingSolverConfig:
     iterate_hook: Optional[object] = None
 
     def __post_init__(self):
-        if not (0 < self.eps <= 0.05):
-            raise ValueError(f"eps must be in (0, 0.05], got {self.eps}")
-        if not (self.M > 0):
-            raise ValueError(f"M must be positive, got {self.M}")
+        _check_params(self.eps, [self.M], self.max_iterations)
+
+
+def _check_params(eps, guesses, max_iterations):
+    if not (0 < eps <= 0.05):
+        raise ValueError(f"eps must be in (0, 0.05], got {eps}")
+    for M in guesses:
+        if not (M > 0):
+            raise ValueError(f"M must be positive, got {M}")
+    if not (max_iterations is None
+            or isinstance(max_iterations, numbers.Integral)):
+        raise ValueError(
+            f"max_iterations must be an integer, got {max_iterations!r}")
 
 
 def _lnm(m: int) -> float:
@@ -122,12 +145,12 @@ def _lnm(m: int) -> float:
 
 
 def iteration_cap_monotone(n: int, m: int, eps: float) -> int:
-    return int(math.ceil(ITER_CAP_K * math.log(n / eps) * _lnm(m) / eps ** 2))
+    return finite_cap(ITER_CAP_K * math.log(n / eps) * _lnm(m), eps, 2)
 
 
 def iteration_cap_nonmonotone(n: int, m: int, eps: float) -> int:
-    return int(math.ceil(ITER_CAP_K * math.log(n / eps) * math.log(1 / eps)
-                         * _lnm(m) / eps ** 2))
+    return finite_cap(ITER_CAP_K * math.log(n / eps) * math.log(1 / eps)
+                      * _lnm(m), eps, 2)
 
 
 def _start_point(inst: PackingInstance) -> np.ndarray:
@@ -141,155 +164,242 @@ def _start_point(inst: PackingInstance) -> np.ndarray:
     return x
 
 
+def _check_variant(obj: ObjectiveSpec, inst: PackingInstance, monotone: bool):
+    if monotone and not obj.monotone:
+        raise ValueError("monotone solver requires a monotone objective")
+    if not monotone and not inst.includes_box:
+        raise ValueError("non-monotone solver requires box rows (add_box_rows)")
+
+
 def solve_packing_monotone(obj: ObjectiveSpec, inst: PackingInstance,
                            cfg: PackingSolverConfig) -> SolveReport:
-    if not obj.monotone:
-        raise ValueError("monotone solver requires a monotone objective")
-    return _solve(obj, inst, cfg, monotone=True)
+    _check_variant(obj, inst, True)
+    return _solve(obj, inst, cfg.eps, [cfg.M], True, cfg.max_iterations,
+                  cfg.figure1_lambda, cfg.iterate_hook)[0]
 
 
 def solve_packing_nonmonotone(obj: ObjectiveSpec, inst: PackingInstance,
                               cfg: PackingSolverConfig) -> SolveReport:
-    if not inst.includes_box:
-        raise ValueError("non-monotone solver requires box rows (add_box_rows)")
-    return _solve(obj, inst, cfg, monotone=False)
+    _check_variant(obj, inst, False)
+    return _solve(obj, inst, cfg.eps, [cfg.M], False, cfg.max_iterations,
+                  cfg.figure1_lambda, cfg.iterate_hook)[0]
 
 
-def _solve(obj, inst, cfg, monotone: bool) -> SolveReport:
+def solve_packing_guesses(obj: ObjectiveSpec, inst: PackingInstance,
+                          eps: float, guesses, *, monotone: bool,
+                          max_iterations: Optional[int] = None) -> list:
+    """One solver run per guess M, all advanced in lockstep; reports in order.
+
+    Each report is the one solve_packing_monotone (or _nonmonotone) gives
+    at that guess, up to the last bits of the batched matrix products.
+    Guesses run in blocks of at most MAX_PACKING_ENTRIES // (m + n), which
+    bounds the (guesses, m) and (guesses, n) arrays of the state.
+    """
+    _check_variant(obj, inst, monotone)
+    _check_params(eps, guesses, max_iterations)
+    block = max(1, MAX_PACKING_ENTRIES // (inst.m + inst.n))
+    reports = []
+    for lo in range(0, len(guesses), block):
+        reports += _solve(obj, inst, eps, guesses[lo:lo + block], monotone,
+                          max_iterations)
+    return reports
+
+
+class _Live(SimpleNamespace):
+    """The guesses still running, one row per array, all of the same length.
+
+    pos: where each guess stands in `guesses`; M: the guess; target: the
+    value that ends it as converged; tol: the slack of its gain-rate
+    invariant; c_floor: gradient entries at most this get no update;
+    X, Z, AZ, t, fx: x, z, A z, smax(A z) and F(x); exp_t, exp_neg_t:
+    exp(t) and exp(-t), for the non-monotone rules; coord_updates: the
+    multipliers summed per coordinate.  A plain namespace: generating a
+    dataclass of these fields costs about a millisecond at import.
+    """
+
+    def keep(self, rows: np.ndarray):
+        for name, value in vars(self).items():
+            setattr(self, name, value[rows])
+
+
+def _solve(obj, inst, eps, guesses, monotone, max_iterations,
+           figure1_lambda=False, iterate_hook=None) -> list:
+    """The packing loop over a vector of guesses; one report per guess.
+
+    Every guess starts at the same point and takes one iteration per pass,
+    so all running guesses share the iteration count.  A guess that stops
+    leaves the state with the report its own solve gives.
+    """
     if obj.n != inst.n:
         raise ValueError("objective and constraint dimensions differ")
-    eps, M = cfg.eps, cfg.M
-    m = inst.m
-    if monotone and not cfg.figure1_lambda:
+    A = inst.A
+    m, n = inst.m, inst.n
+    if monotone and not figure1_lambda:
         eta = eps / (2.0 * (2.0 + _lnm(m)))
     else:
         eta = eps / (2.0 * _lnm(m))
     p = SoftmaxParams(eta=eta, m=m)
     if monotone:
-        cap = iteration_cap_monotone(inst.n, m, eps)
-        lam_floor = M * (math.exp(10.0 * eps - 1.0) - eta)
-        target = (1.0 - math.exp(-1.0 + 10.0 * eps)) * M
+        cap = iteration_cap_monotone(n, m, eps)
+        floor_k = math.exp(10.0 * eps - 1.0) - eta  # lambda floor / M
+        target_k = 1.0 - math.exp(-1.0 + 10.0 * eps)  # value target / M
     else:
-        cap = iteration_cap_nonmonotone(inst.n, m, eps)
-        target = math.exp(-1.0 - 10.0 * eps) * M
-    max_iters = cap if cfg.max_iterations is None else cfg.max_iterations
+        cap = iteration_cap_nonmonotone(n, m, eps)
+        target_k = math.exp(-1.0 - 10.0 * eps)
+    max_iters = cap if max_iterations is None else max_iterations
 
-    rounds = RoundCounter()
-    x = _start_point(inst)
     # the potential is t = smax(Az): z is x itself for the monotone variant
     # and the undamped companion of x for the non-monotone one
-    z = x
-    Az = inst.A @ z
-    t = smax(Az, p)
-    fx = obj.eval(x)
-    rounds.observe(1)
-    if cfg.iterate_hook is not None:
-        cfg.iterate_hook(x.copy())
+    M = np.array(guesses, dtype=float)
+    X = np.tile(_start_point(inst), (M.size, 1))
+    AZ = X @ A.T
+    t = smax(AZ, p)
+    s = _Live(pos=np.arange(M.size), M=M, target=target_k * M,
+              tol=1e-9 * np.maximum(M, 1.0), c_floor=1e-15 * M[:, None],
+              X=X, Z=X, AZ=AZ, t=t, exp_t=np.exp(t), exp_neg_t=np.exp(-t),
+              fx=obj.eval_many(X), coord_updates=np.zeros(X.shape))
+    if iterate_hook is not None:
+        iterate_hook(X[0].copy())
 
-    notes: list = []
-    termination = CONVERGED
+    reports = [None] * M.size
+    notes = [[] for _ in range(M.size)]
+    clamp_iter = np.full(M.size, np.iinfo(np.int64).max)  # first clamp
+    gain_note = set()  # guesses with a gain-recurrence note
     iters = 0
-    coord_updates = np.zeros(inst.n)
-    clamp_iter = None
-    gain_note = False
 
-    while fx <= target:
+    def stop(rows, termination, note=None):
+        """Report the guesses at `rows` with `termination`; drop them."""
+        for i in np.flatnonzero(rows):
+            k = s.pos[i]
+            if note is not None:
+                notes[k].append(note(i))
+            if clamp_iter[k] < iters - 1:
+                notes[k].append(
+                    f"lambda clamped at its floor from iteration {clamp_iter[k]}")
+            _budget_notes(s.coord_updates[i], s.X[i], inst, eta, notes[k])
+        X_done, fx_done = s.X[rows], s.fx[rows]
+        AX = X_done @ A.T
+        ax_inf = AX.max(axis=1)
+        feasible = ax_inf <= 1.0 - 2.0 * eps + 1e-9
+        if termination == CONVERGED:
+            s_final = smax(AX, p)
+            bad = s_final > 1.0 - 2.0 * eps + 1e-9
+            if np.count_nonzero(bad):
+                raise InvariantViolation(f"converged with smax "
+                                         f"{s_final[bad][0]:.6g} > 1 - 2*eps")
+        for j, (k, x) in enumerate(zip(s.pos[rows], X_done)):
+            if termination != CONVERGED and not feasible[j]:
+                notes[k].append(f"final ||Ax||_inf = {ax_inf[j]:.6g} "
+                                "exceeds 1 - 2*eps")
+            reports[k] = SolveReport(
+                solution=x.copy(), value=float(fx_done[j]), epochs=1,
+                inner_iterations=iters, adaptive_rounds=1 + iters,
+                feasible=bool(feasible[j]), guess_used=float(M[k]),
+                termination=termination, slack=float(ax_inf[j]),
+                notes=notes[k])
+        s.keep(~rows)
+
+    while True:
+        done = ~(s.fx <= s.target)
+        if np.count_nonzero(done):
+            stop(done, CONVERGED)
+        if not s.pos.size:
+            break
         if iters >= max_iters:
-            termination = ITERATION_CAP
+            stop(np.ones(s.pos.size, dtype=bool), ITERATION_CAP)
             break
         if monotone:
-            if cfg.figure1_lambda:
-                lam = M
+            if figure1_lambda:
+                lam = s.M
             else:
-                lam = M - (1.0 + eta) * fx
-                if lam < lam_floor:
-                    lam = lam_floor
-                    if clamp_iter is None:
-                        clamp_iter = iters
-            c = obj.grad((1.0 + eta) * x)
+                lam = s.M - (1.0 + eta) * s.fx
+                lam_floor = s.M * floor_k
+                clamped = lam < lam_floor
+                if np.count_nonzero(clamped):
+                    lam = np.where(clamped, lam_floor, lam)
+                    k = s.pos[clamped]
+                    clamp_iter[k] = np.minimum(clamp_iter[k], iters)
+            c = obj.grad_many((1.0 + eta) * s.X)
         else:
-            lam = M * (math.exp(-t) - 2.0 * eps) - fx
-            if lam <= 0:
-                termination = GUESS_REJECTED
-                notes.append(f"iteration {iters}: lambda = {lam:.6g} <= 0 "
-                             "(guess/time inconsistency)")
+            lam = s.M * (s.exp_neg_t - 2.0 * eps) - s.fx
+            rejected = lam <= 0
+            if np.count_nonzero(rejected):
+                stop(rejected, GUESS_REJECTED,
+                     lambda i: f"iteration {iters}: lambda = {lam[i]:.6g} <= 0 "
+                               "(guess/time inconsistency)")
+                lam = lam[~rejected]
+                if not s.pos.size:
+                    break
+            c = np.maximum((1.0 - s.X) * obj.grad_many((1.0 + eta) * s.X), 0.0)
+        score = smax_grad(s.AZ, p) @ A
+        live = c > s.c_floor
+        mvec = np.where(live, np.maximum(
+            1.0 - lam[:, None] * score / np.where(live, c, 1.0), 0.0), 0.0)
+        d = eta * s.X * mvec
+        stuck = d.sum(axis=1) <= 0.0
+        if np.count_nonzero(stuck):
+            stop(stuck, GUESS_REJECTED,
+                 lambda i: f"iteration {iters}: zero update direction")
+            lam, mvec, d = lam[~stuck], mvec[~stuck], d[~stuck]
+            if not s.pos.size:
                 break
-            c = np.maximum((1.0 - x) * obj.grad((1.0 + eta) * x), 0.0)
-        score = inst.A.T @ smax_grad(Az, p)
-        mvec = np.zeros(inst.n)
-        live = c > 1e-15 * M
-        mvec[live] = np.maximum(1.0 - lam * score[live] / c[live], 0.0)
-        d = eta * x * mvec
-        if float(d.sum()) <= 0.0:
-            termination = GUESS_REJECTED
-            notes.append(f"iteration {iters}: zero update direction")
-            break
         if monotone:
-            x_new = z_new = x + d
+            X_new = Z_new = s.X + d
         else:
-            x_new = x + d * (1.0 - x)
-            z_new = z + d
-        fx_new = obj.eval(x_new)
-        Az_new = inst.A @ z_new
-        t_new = smax(Az_new, p)
-        if t_new > t + 1e-12:
-            if fx_new - fx < lam * (t_new - t) - 1e-9 * max(M, 1.0):
-                rate = (fx_new - fx) / (t_new - t)
-                raise InvariantViolation(
-                    f"gain rate {rate:.6g} below lambda {lam:.6g}")
-        if not monotone:
-            bound = (1.0 + eps) * (1.0 - math.exp(-t_new))
-            if float(x_new.max()) > bound + 1e-9:
-                raise InvariantViolation(
-                    f"||x||_inf = {float(x_new.max()):.6g} exceeds "
-                    f"(1+eps)(1-e^-t) = {bound:.6g}")
-            gain_lhs = math.exp(t_new) * fx_new
-            gain_rhs = ((1.0 - 2.0 * math.e * eps) * (t_new - t) * M
-                        + math.exp(t) * fx)
-            if gain_lhs < gain_rhs - 1e-9 * M and not gain_note:
-                notes.append(f"iteration {iters}: exponential-gain recurrence "
-                             f"short by {gain_rhs - gain_lhs:.3g}")
-                gain_note = True
-        coord_updates += mvec
-        x, z, Az, t, fx = x_new, z_new, Az_new, t_new, fx_new
-        if cfg.iterate_hook is not None:
-            cfg.iterate_hook(x.copy())
-        iters += 1
-        rounds.observe(inst.n + 2)  # gradient batch, value, potential matvec
-        if fx <= target and t > 1.0 - eps + 1e-9:
-            # a valid guess keeps the potential <= 1-eps until the last
-            # iteration, so spending the whole budget short of the value
-            # target certifies M > f(x*)
-            termination = GUESS_REJECTED
-            notes.append(f"iteration {iters}: potential {t:.6g} exhausted "
-                         "before the value target")
-            break
-
-    if clamp_iter is not None and clamp_iter < iters - 1:
-        notes.append(f"lambda clamped at its floor from iteration {clamp_iter}")
-    _budget_notes(coord_updates, x, inst, eta, notes)
-
-    Ax = inst.A @ x
-    ax_inf = float(Ax.max())
-    feasible = ax_inf <= 1.0 - 2.0 * eps + 1e-9
-    if termination == CONVERGED:
-        s_final = smax(Ax, p)
-        if s_final > 1.0 - 2.0 * eps + 1e-9:
+            X_new = s.X + d * (1.0 - s.X)
+            Z_new = s.Z + d
+        fx_new = obj.eval_many(X_new)
+        AZ_new = Z_new @ A.T
+        t_new = smax(AZ_new, p)
+        dt = t_new - s.t
+        short = (t_new > s.t + 1e-12) & (fx_new - s.fx < lam * dt - s.tol)
+        if np.count_nonzero(short):
+            i = np.flatnonzero(short)[0]
+            rate = (fx_new[i] - s.fx[i]) / dt[i]
             raise InvariantViolation(
-                f"converged with smax {s_final:.6g} > 1 - 2*eps")
-    elif not feasible:
-        notes.append(f"final ||Ax||_inf = {ax_inf:.6g} exceeds 1 - 2*eps")
-    return SolveReport(
-        solution=x, value=fx, epochs=1, inner_iterations=iters,
-        adaptive_rounds=rounds.rounds, feasible=feasible, guess_used=M,
-        termination=termination, slack=ax_inf, notes=notes)
+                f"gain rate {rate:.6g} below lambda {lam[i]:.6g}")
+        if not monotone:
+            exp_t_new, exp_neg_t_new = np.exp(t_new), np.exp(-t_new)
+            bound = (1.0 + eps) * (1.0 - exp_neg_t_new)
+            x_max = X_new.max(axis=1)
+            over = x_max > bound + 1e-9
+            if np.count_nonzero(over):
+                i = np.flatnonzero(over)[0]
+                raise InvariantViolation(
+                    f"||x||_inf = {x_max[i]:.6g} exceeds "
+                    f"(1+eps)(1-e^-t) = {bound[i]:.6g}")
+            gain_lhs = exp_t_new * fx_new
+            gain_rhs = ((1.0 - 2.0 * math.e * eps) * dt * s.M
+                        + s.exp_t * s.fx)
+            short = gain_lhs < gain_rhs - 1e-9 * s.M
+            if np.count_nonzero(short):
+                for i in np.flatnonzero(short):
+                    if s.pos[i] not in gain_note:
+                        gain_note.add(s.pos[i])
+                        notes[s.pos[i]].append(
+                            f"iteration {iters}: exponential-gain recurrence "
+                            f"short by {gain_rhs[i] - gain_lhs[i]:.3g}")
+            s.exp_t, s.exp_neg_t = exp_t_new, exp_neg_t_new
+        s.coord_updates += mvec
+        s.X, s.Z, s.AZ, s.t, s.fx = X_new, Z_new, AZ_new, t_new, fx_new
+        if iterate_hook is not None:
+            iterate_hook(X_new[0].copy())
+        iters += 1
+        # a valid guess keeps the potential <= 1-eps until the last
+        # iteration, so spending the whole budget short of the value
+        # target certifies M > f(x*)
+        exhausted = (s.fx <= s.target) & (s.t > 1.0 - eps + 1e-9)
+        if np.count_nonzero(exhausted):
+            stop(exhausted, GUESS_REJECTED,
+                 lambda i: f"iteration {iters}: potential {s.t[i]:.6g} "
+                           "exhausted before the value target")
+    return reports
 
 
 def _budget_notes(coord_updates, x, inst, eta, notes):
     """Flag coordinates whose cumulative multiplier exceeds the update budget."""
     budget = COORD_BUDGET_K * math.log(inst.n / inst.eps) / eta
     cap = inst.n / inst.eps
-    for i in range(inst.n):
-        if x[i] <= cap and coord_updates[i] > budget:
-            notes.append(f"coordinate {i}: cumulative multiplier "
-                         f"{coord_updates[i]:.3g} exceeds budget {budget:.3g}")
+    for i in np.flatnonzero((x <= cap) & (coord_updates > budget)):
+        notes.append(f"coordinate {i}: cumulative multiplier "
+                     f"{coord_updates[i]:.3g} exceeds budget {budget:.3g}")

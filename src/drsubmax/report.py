@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,20 @@ class InvariantViolation(RuntimeError):
 
 class GuessExhausted(RuntimeError):
     """No guess produced a feasible solution (CLI exit code 2)."""
+
+
+def finite_cap(numerator: float, eps: float, power: int) -> int:
+    """An iteration cap, numerator / eps**power rounded up.
+
+    At a tiny eps the cap overflows (or eps**power underflows to 0); that
+    is rejected with a ValueError before any solve starts.
+    """
+    scale = eps ** power
+    cap = numerator / scale if scale > 0 else math.inf
+    if not cap < math.inf:
+        raise ValueError(f"eps = {eps:g} is too small: the iteration cap "
+                         "is not a finite number")
+    return int(math.ceil(cap))
 
 
 @dataclass

@@ -26,32 +26,36 @@ class SoftmaxParams:
             raise ValueError(f"m must be >= 1, got {self.m}")
 
 
-def _check_z(z: np.ndarray, p: SoftmaxParams) -> np.ndarray:
+def _check_z(z, p: SoftmaxParams) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.size == 0:
         raise ValueError("empty input vector")
-    if z.shape != (p.m,):
-        raise ValueError(f"expected vector of length {p.m}, got shape {z.shape}")
-    if not np.all(np.isfinite(z)):
+    if z.ndim not in (1, 2) or z.shape[-1] != p.m:
+        raise ValueError(f"expected vectors of length {p.m}, got shape {z.shape}")
+    if not np.isfinite(z).all():
         raise ValueError("non-finite entries in input vector")
     return z
 
 
-def smax(z, p: SoftmaxParams) -> float:
-    """eta * ln(sum exp(z/eta)), max-shifted for stability."""
+def smax(z, p: SoftmaxParams):
+    """eta * ln(sum exp(z/eta)), max-shifted for stability.
+
+    A float for a vector z; for a (k, m) matrix, the k row values.
+    """
     z = _check_z(z, p)
-    zmax = float(z.max())
-    return zmax + p.eta * float(np.log(np.exp((z - zmax) / p.eta).sum()))
+    zmax = z.max(axis=-1)
+    s = zmax + p.eta * np.log(np.exp((z - zmax[..., None]) / p.eta).sum(axis=-1))
+    return float(s) if z.ndim == 1 else s
 
 
 def smax_grad(z, p: SoftmaxParams) -> np.ndarray:
-    """Softmax distribution exp(z_j/eta) / sum_l exp(z_l/eta).
+    """Softmax distribution exp(z_j/eta) / sum_l exp(z_l/eta), row by row.
 
     Entries are non-negative and renormalized to sum to 1 exactly.
     """
     z = _check_z(z, p)
-    w = np.exp((z - z.max()) / p.eta)
-    return w / w.sum()
+    w = np.exp((z - z.max(axis=-1)[..., None]) / p.eta)
+    return w / w.sum(axis=-1)[..., None]
 
 
 def increment_bound(x, d, A, p: SoftmaxParams) -> float:

@@ -146,7 +146,11 @@ def test_criterion_03_monotone_packing_guarantee():
     rng = np.random.default_rng(303)
     bound = 1 - 1 / math.e - C * EPS
     threshold = 1 - math.exp(-1 + 10 * EPS)
+    # the ladder holds a guess M in [OPT/(1+eps), OPT], a converged guess
+    # has value above threshold * M, and the grid optimum is at most OPT
+    floor = threshold / (1 + EPS)
     t0 = time.monotonic()
+    worst = math.inf
     for _ in range(50):
         obj, inst = _random_packing(rng)
         res = 1e-2 if inst.n <= 3 else 2.5e-2
@@ -161,10 +165,13 @@ def test_criterion_03_monotone_packing_guarantee():
         M_star, v_star = max(converged)
         assert v_star > threshold * M_star
         assert r.value >= bound * opt
+        assert r.value >= floor * opt
+        worst = min(worst, r.value / opt)
     elapsed = time.monotonic() - t0
     ok = elapsed < 120
-    _report(3, ok, f"50 packing instances via the guess ladder, exit norms "
-                   f"<= {1 - 2 * EPS}, {elapsed:.1f}s")
+    _report(3, ok, f"50 packing instances via the guess ladder, worst ratio "
+                   f"{worst:.3f} >= {floor:.3f}, exit norms <= {1 - 2 * EPS}, "
+                   f"{elapsed:.1f}s")
     assert ok
 
 

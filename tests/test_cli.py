@@ -167,13 +167,22 @@ NAN, INF = float("nan"), float("inf")
     # rejected before the dense matrix is allocated
     pytest.param(_set(["constraint", "m"], 10**12), "constraint.m", id="huge-m"),
     pytest.param(_set(["constraint", "n"], 10**12), "constraint.n", id="huge-n"),
+    # m * n = 3,200 fits, but the non-monotone solver's box rows would make
+    # (m + n) * n = 10,243,200 entries; rejected before they are allocated
+    pytest.param(lambda data: json.dumps({
+        "objective": {"kind": "linear", "weights": [1.0] * 3200},
+        "constraint": {"type": "packing", "m": 1, "n": 3200,
+                       "triplets": [[0, j, 1.0] for j in range(3200)]},
+        "eps": 0.05}), "box rows", id="huge-box-rows"),
 ])
 def test_bad_instance_values_rejected(tmp_path, capsys, mutate, match):
     text = mutate(json.loads(FIXTURE.read_text()))
     path = tmp_path / "inst.json"
     path.write_text(text)
     command = ("solve-packing" if '"packing"' in text else "solve-matroid")
-    assert main([command, str(path), "--guess", "0.95"]) == 1
+    # the other cases fail at parse time, before the flag is read
+    assert main([command, str(path), "--guess", "0.95",
+                 "--monotone", "false"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and match in err
 
@@ -184,6 +193,18 @@ def test_bad_instance_values_rejected(tmp_path, capsys, mutate, match):
 def test_bad_flag_values_rejected(capsys, flags):
     assert main(["solve-packing", str(FIXTURE)] + flags) == 1
     assert flags[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, match", [
+    # the ladder would hold ~1e300 guesses: rejected before it is built
+    (["--eps", "1e-300"], "ladder of more than"),
+    # the iteration cap's eps^2 underflows: rejected before the solve
+    (["--eps", "1e-300", "--guess", "1", "--max-iters", "1"], "iteration cap"),
+])
+def test_tiny_eps_rejected_up_front(capsys, flags, match):
+    assert main(["solve-packing", str(FIXTURE)] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and match in err
 
 
 def test_selftest_subcommand(capsys):

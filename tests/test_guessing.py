@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 import drsubmax.guessing
 import drsubmax.packing_solver
 from drsubmax import (ObjectiveSpec, PolymatroidInstance, SolveReport,
-                      build_ladder, normalize_packing, solve_with_guessing)
+                      add_box_rows, build_ladder, normalize_packing,
+                      solve_with_guessing)
 from drsubmax.report import CONVERGED, GUESS_REJECTED, ITERATION_CAP
 
 
@@ -75,6 +78,19 @@ def test_build_ladder_rejects_bad_eps():
         build_ladder(obj, 0.0)
 
 
+@pytest.mark.parametrize("eps, m_low", [(1e-300, None), (5e-324, None),
+                                        (1e-6, None), (0.05, 5e-324)])
+def test_build_ladder_bounds_its_length_up_front(eps, m_low):
+    # counted before any guess is built: the first two would be ~1e300
+    # guesses, and m0 / m_low overflows in the last
+    obj = ObjectiveSpec.linear([1.0, 2.0])
+    with pytest.raises(ValueError, match="ladder of more than"):
+        build_ladder(obj, eps, m_low=m_low)
+    longest = build_ladder(obj, 2 * math.log(2) / (
+        drsubmax.guessing.MAX_LADDER_GUESSES - 1))
+    assert len(longest.guesses) == drsubmax.guessing.MAX_LADDER_GUESSES
+
+
 def _fake_solver(outcomes, calls):
     """A solver returning outcomes[i] = (termination, value, feasible) on
     its i-th call, recording each call's guess."""
@@ -112,13 +128,12 @@ def test_ladder_termination(monkeypatch, late, expected):
 @pytest.mark.parametrize("name, constraint, monotone", [
     ("solve_matroid_monotone", PolymatroidInstance.uniform(2, 1), True),
     ("solve_matroid_nonmonotone", PolymatroidInstance.uniform(2, 1), False),
-    ("solve_packing_monotone", normalize_packing([[1.0, 1.0]], 0.05), True),
-    ("solve_packing_nonmonotone", normalize_packing([[1.0, 1.0]], 0.05), False),
 ])
 def test_ladder_calls_solvers_by_module_name(monkeypatch, name, constraint,
                                             monotone):
     # the benchmark's tracer wraps these names; a dispatch table captured
-    # at import time would bypass the wrappers
+    # at import time would bypass the wrappers.  Packing ladders run their
+    # guesses in lockstep instead (test_lockstep_ladder_matches_solve_single)
     obj = ObjectiveSpec.linear([1.0, 1.0])
     calls = []
     monkeypatch.setattr(drsubmax.guessing, name, _fake_solver(
@@ -126,6 +141,77 @@ def test_ladder_calls_solvers_by_module_name(monkeypatch, name, constraint,
     r = solve_with_guessing(obj, constraint, 0.05, monotone=monotone)
     assert calls == [M for M, _, _ in r.guess_trace]
     assert len(calls) > 1
+
+
+def _packing_ladder_case(kind, seed):
+    """A criterion-3-style ladder (linear, coverage) or a non-monotone
+    directed-cut packing ladder; (objective, constraint, monotone)."""
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+    if kind == "cut":
+        arcs = {(int(u), int(v)) for u, v in rng.integers(0, n, size=(2 * n, 2))
+                if u != v} or {(0, 1)}
+        obj = ObjectiveSpec.directed_cut(
+            n, [(u, v, float(rng.uniform(0.5, 2.0))) for u, v in sorted(arcs)])
+        A = np.vstack([np.eye(n), rng.uniform(0.3, 1.0, size=(1, n))])
+        return obj, normalize_packing(A, 0.05), False
+    if kind == "linear":
+        obj = ObjectiveSpec.linear(rng.uniform(0.5, 2.0, size=n))
+    else:
+        u = int(rng.integers(3, 7))
+        obj = ObjectiveSpec.coverage(
+            rng.uniform(0.5, 2.0, size=u),
+            [rng.choice(u, size=int(rng.integers(1, 3)), replace=False).tolist()
+             for _ in range(n)])
+    return obj, normalize_packing(rng.uniform(0.3, 1.5, size=(m, n)), 0.05), True
+
+
+@pytest.mark.parametrize("kind", ["linear", "coverage", "cut"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_lockstep_ladder_matches_solve_single(kind, seed):
+    # every lockstep guess ends as its own one-guess solve does
+    obj, inst, monotone = _packing_ladder_case(kind, seed)
+    r = solve_with_guessing(obj, inst, 0.05, monotone=monotone,
+                            max_iterations=1000)
+    guesses = [M for M, _, _ in r.guess_trace]
+    lockstep = drsubmax.packing_solver.solve_packing_guesses(
+        obj, inst if monotone else add_box_rows(inst), 0.05, guesses,
+        monotone=monotone, max_iterations=1000)
+    assert [(M, got.termination) for M, got in zip(guesses, lockstep)] == [
+        (M, t) for M, t, _ in r.guess_trace]
+    for M, got in zip(guesses, lockstep):
+        want = drsubmax.guessing.solve_single(obj, inst, 0.05, M,
+                                              monotone=monotone,
+                                              max_iterations=1000)
+        assert got.guess_used == M
+        assert (got.termination, got.inner_iterations, got.adaptive_rounds,
+                got.notes, got.feasible) == (
+            want.termination, want.inner_iterations, want.adaptive_rounds,
+            want.notes, want.feasible)
+        assert got.value == pytest.approx(want.value, rel=1e-12, abs=0)
+        np.testing.assert_allclose(got.solution, want.solution, rtol=1e-12)
+
+
+def test_lockstep_state_runs_in_bounded_blocks(monkeypatch):
+    # with a block of two rows the seven guesses run in four blocks, and
+    # each report is the one a single block of all seven gives
+    obj, inst, _ = _packing_ladder_case("linear", 3)
+    guesses = [0.5 * 1.2 ** k for k in range(7)]
+    whole = drsubmax.packing_solver.solve_packing_guesses(
+        obj, inst, 0.05, guesses, monotone=True, max_iterations=300)
+    monkeypatch.setattr(drsubmax.packing_solver, "MAX_PACKING_ENTRIES",
+                        2 * (inst.m + inst.n))
+    sizes, real = [], drsubmax.packing_solver._solve
+    monkeypatch.setattr(drsubmax.packing_solver, "_solve",
+                        lambda *args: sizes.append(len(args[3])) or real(*args))
+    blocks = drsubmax.packing_solver.solve_packing_guesses(
+        obj, inst, 0.05, guesses, monotone=True, max_iterations=300)
+    assert sizes == [2, 2, 2, 1]
+    assert len(blocks) == len(whole)
+    for got, want in zip(blocks, whole):
+        assert (got.guess_used, got.termination, got.inner_iterations) == (
+            want.guess_used, want.termination, want.inner_iterations)
+        assert got.value == pytest.approx(want.value, rel=1e-12, abs=0)
 
 
 def test_packing_loop_calls_softmax_by_module_name(monkeypatch):

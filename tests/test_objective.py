@@ -125,6 +125,27 @@ def test_grad_is_the_multilinear_difference(which, entries):
         assert abs(g[i] - (obj.eval(hi) - obj.eval(lo))) <= tol
 
 
+@given(st.integers(0, 3), st.integers(1, 6), st.data())
+@settings(max_examples=300, deadline=None)
+def test_grad_many_rows_equal_grad(which, k, data):
+    obj = closed_form_examples()[which]
+    X = np.array(data.draw(st.lists(_entries, min_size=k * obj.n,
+                                    max_size=k * obj.n))).reshape(k, obj.n)
+    G = obj.grad_many(X)
+    assert G.shape == X.shape
+    for row, g in zip(X, G):
+        assert (g == obj.grad(row)).all()  # bitwise, not approximately
+
+
+def test_batch_oracles_check_their_input():
+    obj = cover_example()
+    for bad in (np.zeros(3), np.zeros((2, 4)), np.full((2, 3), -0.5)):
+        with pytest.raises(ValueError):
+            obj.grad_many(bad)
+        with pytest.raises(ValueError):
+            obj.eval_many(bad)
+
+
 def test_eval_equals_multilinear_enumeration():
     # closed forms are multilinear, so enumeration must agree exactly
     objs = [cover_example(), repeated_item_example(),

@@ -6,6 +6,9 @@ import pytest
 from drsubmax import (ObjectiveSpec, PackingSolverConfig, add_box_rows,
                       grid_fractional_opt, normalize_packing,
                       solve_packing_monotone, solve_packing_nonmonotone)
+from drsubmax.matroid_solver import iteration_budget
+from drsubmax.packing_solver import (iteration_cap_monotone,
+                                     iteration_cap_nonmonotone)
 from drsubmax.report import CONVERGED, GUESS_REJECTED
 
 EPS = 0.05
@@ -123,3 +126,17 @@ def test_config_validation():
         PackingSolverConfig(eps=0.2, M=1.0)
     with pytest.raises(ValueError):
         PackingSolverConfig(eps=0.05, M=-1.0)
+    with pytest.raises(ValueError, match="integer"):
+        PackingSolverConfig(eps=0.05, M=1.0, max_iterations=math.inf)
+
+
+@pytest.mark.parametrize("cap", [
+    lambda eps: iteration_cap_monotone(2, 1, eps),
+    lambda eps: iteration_cap_nonmonotone(2, 3, eps),
+    lambda eps: iteration_budget(3, eps)])
+def test_iteration_caps_reject_tiny_eps(cap):
+    # eps^2 underflows to 0 at 1e-300; the cap overflows at 1e-160
+    assert cap(0.05) > 0
+    for eps in (1e-300, 1e-160):
+        with pytest.raises(ValueError, match="iteration cap"):
+            cap(eps)

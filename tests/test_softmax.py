@@ -43,6 +43,19 @@ def test_grad_is_distribution(m, eta, seed):
     assert g.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+@given(st.integers(1, 8), st.integers(1, 6), st.floats(0.01, 1.0),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_rows_match_vector_calls(m, k, eta, seed):
+    Z = np.random.default_rng(seed).uniform(-3, 3, size=(k, m))
+    p = SoftmaxParams(eta=eta, m=m)
+    s, g = smax(Z, p), smax_grad(Z, p)
+    assert s.shape == (k,) and g.shape == (k, m)
+    for z, s_row, g_row in zip(Z, s, g):
+        assert smax(z, p) == s_row
+        assert (smax_grad(z, p) == g_row).all()
+
+
 def test_grad_matches_finite_differences():
     rng = np.random.default_rng(7)
     p = SoftmaxParams(eta=0.2, m=5)
@@ -105,6 +118,10 @@ def test_input_validation():
         smax(np.array([1.0]), p)
     with pytest.raises(ValueError):
         smax(np.array([np.inf, 0.0]), p)
+    with pytest.raises(ValueError):
+        smax_grad(np.array([[0.0, 1.0], [np.nan, 0.0]]), p)
+    with pytest.raises(ValueError):
+        smax(np.zeros((2, 3)), p)
     with pytest.raises(ValueError):
         increment_bound(np.array([-0.1, 0.1]), np.array([0.0, 0.0]),
                         np.array([[1.0, 1.0], [1.0, 1.0]]), p)
