@@ -6,6 +6,10 @@ coordinates are bucketed by powers of (1+eps), and a sequential
 water-filling step raises each eligible coordinate by up to a (1+eps)
 multiplicative factor while staying inside eps*P.  The non-monotone
 variant dampens the accumulated solution measured-greedy style.
+
+Each inner step checks its point against (eps/(1+eps))*P and computes the
+family's set sums once (`PolymatroidInstance.tight_mask`); the tight set is
+a boolean mask, and the water-fill reuses those sums.
 """
 
 from __future__ import annotations
@@ -91,7 +95,7 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
         g0 = g(x0)
         rounds.observe(1)
         gt = g0
-        tight_prev: frozenset = frozenset()
+        tight_prev = np.zeros(n, dtype=bool)
         v2_prev = math.inf
         rejected = False
 
@@ -103,15 +107,16 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
                 c = obj.grad((1.0 + eps) * xt + z)
             else:
                 c = (1.0 - z) * obj.grad((1.0 - z) * (1.0 + eps) * xt + z)
-            tight = pm.tight_set(xt, scale)
-            if not tight_prev <= tight:
+            # one check of xt and one x(S) per step, shared by both calls
+            tight, sums = pm.tight_mask(xt, scale)
+            if (tight_prev & ~tight).any():
                 raise InvariantViolation("tight set lost coordinates")
             tight_prev = tight
-            outside = [i for i in range(n) if i not in tight]
-            if not outside:
+            outside = c[~tight]
+            if not outside.size:
                 rejected = True
                 break
-            v1 = max(c[i] for i in outside)
+            v1 = outside.max()
             if v1 <= 0:
                 rejected = True
                 break
@@ -119,8 +124,8 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
             if v2 > v2_prev * (1.0 + 1e-9):
                 raise InvariantViolation("bucket value v2 increased within an epoch")
             v2_prev = v2
-            eligible = [i for i in range(n) if c[i] >= v2]
-            y = pm.waterfill(xt, eligible, eps)
+            y = pm.waterfill(xt, (c >= v2).nonzero()[0].tolist(), eps,
+                             sums=sums)
             if float(y.sum()) <= 0.0:
                 rejected = True
                 break
@@ -157,11 +162,12 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
 
 
 def _initial_point(pm, n, eps, D, scale) -> np.ndarray:
-    """eps^2/(nD) * 1, zeroed on rank-0 coordinates and shrunk into scale*P."""
+    """eps^2/(nD) * 1, zeroed on rank-0 coordinates and shrunk into scale*P.
+
+    r({i}) = 0 exactly when a family set that holds i has cap 0.
+    """
     x0 = np.full(n, eps * eps / (n * D))
-    for i in range(n):
-        if pm.rank([i]) <= 0:
-            x0[i] = 0.0
+    x0[[any(pm.caps[r] <= 0 for r in rows) for rows in pm.rows_of]] = 0.0
     if not pm.membership(x0, scale):
         x0 *= pm.fit_factor(x0, scale) * (1.0 - 1e-12)
     return x0

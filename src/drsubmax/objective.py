@@ -13,7 +13,7 @@ gradient of a clamped coordinate is 0.  Negative entries are rejected.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -50,6 +50,9 @@ class ObjectiveSpec:
     set_fn: Optional[Callable] = None
     samples: int = 10_000
     seed: int = 0
+    # the last _copies(k) with k > 1, kept while a batch keeps its size
+    _batch: Optional["ObjectiveSpec"] = field(default=None, init=False,
+                                              repr=False, compare=False)
 
     # -- constructors -----------------------------------------------------
 
@@ -128,9 +131,14 @@ class ObjectiveSpec:
 
     def _copies(self, k: int) -> "ObjectiveSpec":
         """k disjoint copies of this closed form, as one objective on k * n
-        elements: copy j's elements are j * n .. j * n + n - 1."""
+        elements: copy j's elements are j * n .. j * n + n - 1.
+
+        The result is kept until a call with another k > 1 replaces it.
+        """
         if k == 1:
             return self
+        if self._batch is not None and self._batch.n == k * self.n:
+            return self._batch
         shift = np.arange(k)[:, None]
         offset = {}
         if self.kind == COVERAGE:
@@ -140,8 +148,9 @@ class ObjectiveSpec:
             offset = {"tail": self.n, "head": self.n}
         arrays = {name: (getattr(self, name) + size * shift).ravel()
                   for name, size in offset.items()}
-        return replace(self, n=k * self.n, weights=np.tile(self.weights, k),
-                       **arrays)
+        self._batch = replace(self, n=k * self.n,
+                              weights=np.tile(self.weights, k), **arrays)
+        return self._batch
 
     def _sample_matrix(self, x: np.ndarray) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
@@ -169,9 +178,13 @@ class ObjectiveSpec:
             # dF/dx_i sums, over the items i covers, the item weight times
             # the product of the other coverers' complements.  Zero
             # complements are left out of the product and counted instead:
-            # a term is 0 when another coverer of its item has one.
+            # a term is 0 when another coverer of its item has one.  With
+            # no zero complement that bookkeeping changes no bit: skip it.
             comp = 1.0 - x[self.elems]
             zero = comp == 0.0
+            if not zero.any():
+                part = (self.weights * np.multiply.reduceat(comp, self.starts))
+                return _scatter(self.elems, part[self.item] / comp, self.n)
             safe = comp + zero
             part = (self.weights * np.multiply.reduceat(safe, self.starts))[self.item]
             alone = np.bincount(self.item, zero, self.weights.size)[self.item] == zero

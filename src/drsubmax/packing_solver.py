@@ -154,14 +154,12 @@ def iteration_cap_nonmonotone(n: int, m: int, eps: float) -> int:
 
 
 def _start_point(inst: PackingInstance) -> np.ndarray:
-    n = inst.n
+    """eps / (n * max_j A_ji) per coordinate; 0 where the column is fixed
+    to 0 or empty."""
     colmax = inst.A.max(axis=0)
-    x = np.zeros(n)
-    for i in range(n):
-        if i in inst.fixed_zero or colmax[i] <= 0:
-            continue
-        x[i] = inst.eps / (n * colmax[i])
-    return x
+    colmax[inst.fixed_zero] = 0.0
+    return np.divide(inst.eps, inst.n * colmax, out=np.zeros(inst.n),
+                     where=colmax > 0)
 
 
 def _check_variant(obj: ObjectiveSpec, inst: PackingInstance, monotone: bool):

@@ -4,11 +4,17 @@ Shipped rank functions are uniform, partition, and laminar; all three are
 represented internally as a laminar family of capacitated sets plus an
 implicit per-element capacity of 1, so membership and tight sets are exact
 without general submodular minimization.
+
+The family is an incidence matrix plus caps, and, built once with it, the
+list of family rows that hold each element.  The matroid solver's step
+uses `tight_mask`, which checks its point once and returns the set sums
+x(S) with the tight set, and hands those sums to `waterfill`; `tight_set`
+and a `waterfill` without sums check their point themselves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -32,12 +38,17 @@ class PolymatroidInstance:
     The rank is given by a laminar family of capacitated sets, stored as a
     (sets x n) 0/1 `incidence` matrix and a `caps` vector; every element
     additionally carries the implicit capacity 1 (so r({i}) <= 1).
+    `rows_of[i]` lists, in ascending order, the family rows that hold i.
     """
 
     kind: str
     n: int
     incidence: np.ndarray
     caps: np.ndarray
+    rows_of: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.rows_of = [np.flatnonzero(col).tolist() for col in self.incidence.T]
 
     @classmethod
     def uniform(cls, n: int, k: float):
@@ -100,8 +111,8 @@ class PolymatroidInstance:
         S = frozenset(S)
         if any(not (0 <= i < self.n) for i in S):
             raise ValueError("element index out of range")
-        return float(self._fill(dict.fromkeys(S, 1.0), np.zeros(self.caps.size),
-                                self.caps).sum())
+        return float(self._fill(sorted(S), [1.0] * self.n,
+                                np.zeros(self.caps.size), self.caps).sum())
 
     # -- membership and tight sets ---------------------------------------
 
@@ -112,12 +123,19 @@ class PolymatroidInstance:
 
     def tight_set(self, x, scale: float = 1.0, tol: float = TIGHT_TOL) -> frozenset:
         """The unique maximal S with x(S) = scale * r(S)."""
+        return frozenset(np.flatnonzero(self.tight_mask(x, scale, tol)[0]).tolist())
+
+    def tight_mask(self, x, scale: float = 1.0, tol: float = TIGHT_TOL):
+        """(tight, sums): the tight set of x as a boolean mask, and the set
+        sums x(S) of the family, which `waterfill` takes at scale
+        eps / (1 + eps).  Raises ValueError unless x >= 0 lies in scale * P.
+        """
         x = self._vec(x)
         sums = self.incidence @ x
         if not self._fits(x, sums, scale, tol):
             raise ValueError("x is not in scale * P")
         in_tight_set = (sums >= scale * self.caps - tol) @ self.incidence > 0
-        return frozenset(((x >= scale - tol) | in_tight_set).nonzero()[0].tolist())
+        return (x >= scale - tol) | in_tight_set, sums
 
     def slack(self, x) -> float:
         """Minimum residual capacity, over element caps and family sets."""
@@ -136,41 +154,43 @@ class PolymatroidInstance:
     # -- water-filling ----------------------------------------------------
 
     def waterfill(self, x, eligible: Iterable[int], eps: float,
-                  tol: float = TIGHT_TOL) -> np.ndarray:
+                  tol: float = TIGHT_TOL, sums=None) -> np.ndarray:
         """Sequential maximal increase of Algorithm-style updates.
 
         Coordinates are processed in ascending index order.  For eligible i,
         y_i is the largest value with y_i <= eps * x_i and
         (1+eps)(x + y) in eps*P; other coordinates stay 0.
-        """
-        x = self._vec(x)
-        scale = eps / (1.0 + eps)
-        sums = self.incidence @ x
-        if not self._fits(x, sums, scale, tol):
-            raise ValueError("(1+eps) * x is not in eps * P")
-        bound = np.minimum(eps * x, scale - x).tolist()
-        return self._fill({i: bound[i] for i in eligible}, sums, scale * self.caps)
 
-    def _fill(self, bounds: dict, sums, caps) -> np.ndarray:
-        """Raise each coordinate i of `bounds` in ascending index order, as far
-        as bounds[i] and the residuals caps - sums of its sets allow.
+        `sums` is the second result of tight_mask(x, eps / (1 + eps)): a
+        caller that has it passes it, and x, already checked there, is not
+        checked again.
+        """
+        scale = eps / (1.0 + eps)
+        if sums is None:
+            x = self._vec(x)
+            sums = self.incidence @ x
+            if not self._fits(x, sums, scale, tol):
+                raise ValueError("(1+eps) * x is not in eps * P")
+        bound = np.minimum(eps * x, scale - x).tolist()
+        return self._fill(sorted(set(eligible)), bound, sums, scale * self.caps)
+
+    def _fill(self, order: list, bounds: list, sums, caps) -> np.ndarray:
+        """Raise each coordinate i of `order` (ascending) as far as bounds[i]
+        and the residuals caps - sums of its sets allow.
 
         The fill is sequential, so it runs on Python floats, which are
         cheaper per step than numpy scalars.
         """
-        order = sorted(bounds)
-        sets_of = [[] for _ in order]
-        for j, r in zip(*(a.tolist() for a in np.nonzero(self.incidence[:, order].T))):
-            sets_of[j].append(r)
         sums, caps = sums.tolist(), caps.tolist()
-        y = np.zeros(self.n)
-        for i, rows in zip(order, sets_of):
+        y = [0.0] * self.n
+        for i in order:
+            rows = self.rows_of[i]
             step = min([bounds[i]] + [caps[r] - sums[r] for r in rows])
             if step > 0:
                 y[i] = step
                 for r in rows:
                     sums[r] += step
-        return y
+        return np.array(y)
 
     def _fits(self, x, sums, scale, tol) -> bool:
         return not (x.max(initial=0.0) > scale + tol

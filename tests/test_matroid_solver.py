@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drsubmax import (MatroidSolverConfig, ObjectiveSpec, PolymatroidInstance,
                       brute_force_matroid_opt, solve_matroid_monotone,
@@ -105,3 +107,79 @@ def test_zero_capacity_coordinates_stay_zero():
     r = solve_matroid_monotone(obj, pm, MatroidSolverConfig(eps=EPS, M=1.0))
     assert r.solution[1] == 0.0
     assert r.feasible
+
+
+@st.composite
+def matroid_cases(draw):
+    """(objective, matroid) with n <= 8: coverage or directed cut on a
+    uniform, partition or laminar matroid with integer caps."""
+    n = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["uniform", "partition", "laminar"]))
+    if kind == "uniform":
+        pm = PolymatroidInstance.uniform(n, draw(st.integers(0, n)))
+    elif kind == "partition":
+        split = draw(st.integers(1, n - 1))
+        pm = PolymatroidInstance.partition(
+            n, [range(split), range(split, n)],
+            [draw(st.integers(0, split)), draw(st.integers(0, n - split))])
+    else:
+        sets = []
+        for members in draw(st.lists(st.frozensets(st.integers(0, n - 1),
+                                                   min_size=1), max_size=4)):
+            if all(not members & m or members <= m or m <= members
+                   for m in sets):
+                sets.append(members)
+        pm = PolymatroidInstance.laminar(
+            n, [sorted(m) for m in sets],
+            [draw(st.integers(0, len(m))) for m in sets])
+    weights = st.floats(0.5, 2.0)
+    if draw(st.booleans()):
+        u = draw(st.integers(1, 6))
+        covers = draw(st.lists(st.lists(st.integers(0, u - 1), min_size=1,
+                                        max_size=3), min_size=n, max_size=n))
+        obj = ObjectiveSpec.coverage(draw(st.lists(weights, min_size=u,
+                                                   max_size=u)), covers)
+    else:
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)),
+                              min_size=1, max_size=2 * n))
+        obj = ObjectiveSpec.directed_cut(
+            n, [(u, v, draw(weights)) for u, v in pairs if u != v])
+    return obj, pm
+
+
+@given(matroid_cases())
+@settings(max_examples=30, deadline=None)
+def test_random_matroid_solves_keep_their_invariants(case):
+    # every invariant check runs inside the solve: InvariantViolation fails
+    obj, pm = case
+    M = max(brute_force_matroid_opt(obj, pm).value, 1e-9)
+    solve = solve_matroid_monotone if obj.monotone else solve_matroid_nonmonotone
+    r = solve(obj, pm, MatroidSolverConfig(eps=EPS, M=M))
+    assert pm.membership(r.solution, 1.0)
+    assert r.feasible
+    if r.termination != GUESS_REJECTED:
+        assert r.adaptive_rounds == 1 + r.epochs + r.inner_iterations
+
+
+def test_loop_calls_oracles_through_public_methods(monkeypatch):
+    # the benchmark's tracer wraps the public methods of both classes; the
+    # loop's per-step work has to pass through them to be booked there
+    counts = {}
+    for cls, names in ((ObjectiveSpec, ("grad", "eval")),
+                       (PolymatroidInstance, ("tight_mask", "waterfill"))):
+        for name in names:
+            real = getattr(cls, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(cls, name, counted)
+    obj = ObjectiveSpec.coverage([1, 1, 1, 1], [[0], [1], [2], [3]])
+    pm = PolymatroidInstance.uniform(4, 2)
+    r = solve_matroid_monotone(obj, pm, MatroidSolverConfig(eps=EPS, M=2.0))
+    assert r.termination == CONVERGED
+    assert r.inner_iterations > 0
+    assert counts["grad"] == r.inner_iterations
+    assert counts["eval"] == r.inner_iterations + r.epochs + 1
+    assert counts["tight_mask"] == counts["waterfill"] == r.inner_iterations

@@ -137,6 +137,41 @@ def test_grad_many_rows_equal_grad(which, k, data):
         assert (g == obj.grad(row)).all()  # bitwise, not approximately
 
 
+def test_grad_many_follows_the_batch_size():
+    # the batched objective is kept between calls; a change of batch size
+    # must build a new one, and a return to the old size must still match
+    rng = np.random.default_rng(12)
+    for obj in closed_form_examples():
+        for k in (5, 3, 5, 1, 3):
+            X = rng.uniform(0, 1.2, size=(k, obj.n))
+            G = obj.grad_many(X)
+            assert G.shape == X.shape
+            for row, g in zip(X, G):
+                assert (g == obj.grad(row)).all()
+
+
+def coverage_grad_reference(obj, x):
+    """The coverage gradient with the zero-complement bookkeeping always on."""
+    comp = 1.0 - x[obj.elems]
+    zero = comp == 0.0
+    safe = comp + zero
+    part = (obj.weights * np.multiply.reduceat(safe, obj.starts))[obj.item]
+    alone = np.bincount(obj.item, zero, obj.weights.size)[obj.item] == zero
+    return np.bincount(obj.elems, part / safe * alone, obj.n).astype(float)
+
+
+@given(st.integers(1, 2), st.data())
+@settings(max_examples=200, deadline=None)
+def test_coverage_grad_without_zero_complements(which, data):
+    # with no entry at 1 no complement is 0: the short path gives the same
+    # bits as the bookkeeping it skips
+    obj = closed_form_examples()[which]
+    x = np.array(data.draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+        min_size=obj.n, max_size=obj.n)))
+    assert (obj.grad(x) == coverage_grad_reference(obj, x)).all()
+
+
 def test_batch_oracles_check_their_input():
     obj = cover_example()
     for bad in (np.zeros(3), np.zeros((2, 4)), np.full((2, 3), -0.5)):

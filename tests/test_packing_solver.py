@@ -48,6 +48,24 @@ def test_normalize_rejects_zero_column():
     assert len(str(err.value)) < 100
 
 
+def test_start_point_skips_fixed_and_empty_columns():
+    from drsubmax.packing_solver import _start_point
+    # column 1 is pinned to 0, which leaves it empty until the box rows
+    # give it an entry again
+    base = normalize_packing([[0.5, 10 * 3 / EPS, 0.0],
+                              [0.25, 0.0, 0.7]], EPS)
+    assert base.fixed_zero == [1]
+    for inst in (base, add_box_rows(base)):
+        colmax = inst.A.max(axis=0)
+        want = np.zeros(3)
+        for i in range(3):  # the per-coordinate rule
+            if i not in inst.fixed_zero and colmax[i] > 0:
+                want[i] = EPS / (3 * colmax[i])
+        assert (_start_point(inst) == want).all()
+        assert want[1] == 0.0 and want[0] > 0.0 and want[2] > 0.0
+        assert (inst.A.max(axis=0) == colmax).all()  # A is left as it was
+
+
 def test_linear_single_row_example():
     obj = ObjectiveSpec.linear([1.0, 1.0])
     inst = normalize_packing([[1.0, 1.0]], EPS)

@@ -148,6 +148,89 @@ def test_waterfill_is_maximal_per_coordinate():
     assert y[0] == pytest.approx(eps * 0.01)
 
 
+def tight_set_reference(pm, x, scale, tol=1e-9):
+    """Element by element: i is tight at its own cap or in a tight set."""
+    sums = pm.incidence @ x
+    return frozenset(
+        i for i in range(pm.n)
+        if x[i] >= scale - tol
+        or any(sums[r] >= scale * pm.caps[r] - tol
+               for r in range(pm.caps.size) if pm.incidence[r, i]))
+
+
+def waterfill_reference(pm, x, eligible, eps):
+    """The ascending-index fill, reading each element's sets off the matrix."""
+    scale = eps / (1 + eps)
+    sums = (pm.incidence @ x).tolist()
+    caps = (scale * pm.caps).tolist()
+    y = np.zeros(pm.n)
+    for i in sorted(set(eligible)):
+        rows = np.flatnonzero(pm.incidence[:, i]).tolist()
+        step = min([min(eps * x[i], scale - x[i])]
+                   + [caps[r] - sums[r] for r in rows])
+        if step > 0:
+            y[i] = step
+            for r in rows:
+                sums[r] += step
+    return y
+
+
+@st.composite
+def polymatroid_points(draw):
+    """(pm, x, eps, eligible): a point of (eps / (1 + eps)) * P, often on
+    the boundary of an element cap or a family set."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["uniform", "partition", "laminar"]))
+    cap = st.one_of(st.just(0.0), st.floats(1e-3, 3.0))
+    if kind == "uniform":
+        pm = PolymatroidInstance.uniform(n, draw(cap))
+    elif kind == "partition":
+        split = draw(st.integers(0, n))
+        pm = PolymatroidInstance.partition(
+            n, [range(split), range(split, n)], [draw(cap), draw(cap)])
+    else:
+        sets = []
+        for members in draw(st.lists(st.frozensets(st.integers(0, n - 1),
+                                                   min_size=1), max_size=5)):
+            if all(not members & m or members <= m or m <= members
+                   for m in sets):
+                sets.append(members)
+        pm = PolymatroidInstance.laminar(n, [sorted(m) for m in sets],
+                                         [draw(cap) for _ in sets])
+    eps = draw(st.sampled_from([0.01, 0.05, 0.2, 1.0]))
+    scale = eps / (1 + eps)
+    x = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+                               min_size=n, max_size=n)))
+    x *= pm.fit_factor(x, scale) * draw(st.sampled_from([0.5, 1.0 - 1e-12, 1.0]))
+    if draw(st.booleans()):  # fill to the boundary, as the solver does
+        x = x + pm.waterfill(x, range(n), eps)
+    if draw(st.booleans()):  # some coordinates exactly at their own cap
+        x[draw(st.lists(st.integers(0, n - 1), max_size=n))] = scale
+        x *= min(1.0, pm.fit_factor(x, scale))
+    eligible = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    return pm, x, eps, eligible
+
+
+@given(polymatroid_points())
+@settings(max_examples=300, deadline=None)
+def test_mask_and_row_helpers_match_the_references(case):
+    pm, x, eps, eligible = case
+    scale = eps / (1 + eps)
+    if not pm.membership(x, scale):
+        with pytest.raises(ValueError):
+            pm.tight_mask(x, scale)
+        return
+    tight, sums = pm.tight_mask(x, scale)
+    assert (sums == pm.incidence @ x).all()
+    assert frozenset(np.flatnonzero(tight).tolist()) == pm.tight_set(x, scale)
+    assert pm.tight_set(x, scale) == tight_set_reference(pm, x, scale)
+    y = pm.waterfill(x, eligible, eps, sums=sums)
+    assert (y == pm.waterfill(x, eligible, eps)).all()  # bitwise
+    assert (y == waterfill_reference(pm, x, eligible, eps)).all()
+    for i in range(pm.n):  # r({i}) = 0 iff a set holding i has cap 0
+        assert (pm.rank([i]) <= 0) == any(pm.caps[r] <= 0 for r in pm.rows_of[i])
+
+
 def exchange_case(pm, rng):
     n = pm.n
     b = rng.uniform(0, 0.6, size=n)
