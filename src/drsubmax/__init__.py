@@ -2,8 +2,7 @@
 constraints."""
 
 from .bruteforce import (OracleResult, brute_force_matroid_opt,
-                         finite_diff_grad, grid_fractional_opt,
-                         multilinear_enumeration)
+                         finite_diff_grad, grid_fractional_opt)
 from .guessing import (GuessLadder, build_ladder, solve_single,
                        solve_with_guessing)
 from .matroid_solver import (MatroidSolverConfig, solve_matroid_monotone,
@@ -12,22 +11,22 @@ from .objective import ObjectiveSpec
 from .packing_solver import (PackingInstance, PackingSolverConfig,
                              add_box_rows, normalize_packing,
                              solve_packing_monotone, solve_packing_nonmonotone)
-from .polymatroid import PolymatroidInstance, RankOracleError
+from .polymatroid import PolymatroidInstance
 from .report import (CONVERGED, GUESS_REJECTED, ITERATION_CAP, GuessExhausted,
                      InvariantViolation, RoundCounter, SolveReport)
-from .softmax import SoftmaxParams, increment_bound, smax, smax_grad
+from .softmax import SoftmaxParams, smax, smax_grad
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ObjectiveSpec", "PolymatroidInstance", "RankOracleError",
-    "SoftmaxParams", "smax", "smax_grad", "increment_bound",
+    "ObjectiveSpec", "PolymatroidInstance",
+    "SoftmaxParams", "smax", "smax_grad",
     "MatroidSolverConfig", "solve_matroid_monotone", "solve_matroid_nonmonotone",
     "PackingInstance", "PackingSolverConfig", "normalize_packing",
     "add_box_rows", "solve_packing_monotone", "solve_packing_nonmonotone",
     "GuessLadder", "build_ladder", "solve_single", "solve_with_guessing",
     "OracleResult", "brute_force_matroid_opt", "grid_fractional_opt",
-    "finite_diff_grad", "multilinear_enumeration",
+    "finite_diff_grad",
     "SolveReport", "RoundCounter", "InvariantViolation", "GuessExhausted",
     "CONVERGED", "GUESS_REJECTED", "ITERATION_CAP",
 ]

@@ -8,7 +8,6 @@ closed forms only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -19,7 +18,6 @@ from .polymatroid import PolymatroidInstance
 
 SUBSET_ENUM = "subset-enum"
 GRID = "grid"
-FINITE_DIFF = "finite-diff"
 
 _GRID_CHUNK = 200_000
 
@@ -124,18 +122,3 @@ def finite_diff_grad(obj: ObjectiveSpec, x, h: float = 1e-5) -> np.ndarray:
         g[i] = (obj.eval(up) - obj.eval(dn)) / (2.0 * h)
     return g
 
-
-def multilinear_enumeration(obj: ObjectiveSpec, x) -> float:
-    """Exact multilinear value sum_S f(S) prod_{i in S} x_i prod_{i not in S}(1-x_i)."""
-    x = np.minimum(np.asarray(x, dtype=float), 1.0)
-    n = obj.n
-    if n > 20:
-        raise ValueError("enumeration supports n <= 20")
-    total = 0.0
-    for bits in product([0, 1], repeat=n):
-        w = 1.0
-        for i, b in enumerate(bits):
-            w *= x[i] if b else 1.0 - x[i]
-        if w > 0:
-            total += w * obj.set_value([i for i, b in enumerate(bits) if b])
-    return total

@@ -20,7 +20,8 @@ from .guessing import solve_single, solve_with_guessing
 from .objective import COVERAGE, DIRECTED_CUT, LINEAR, ObjectiveSpec
 from .packing_solver import (MAX_PACKING_ENTRIES, PackingInstance,
                              normalize_packing)
-from .polymatroid import LAMINAR, PARTITION, UNIFORM, PolymatroidInstance
+from .polymatroid import (LAMINAR, MAX_POLYMATROID_ENTRIES, PARTITION, UNIFORM,
+                          PolymatroidInstance)
 from .report import (CONVERGED, GUESS_REJECTED, ITERATION_CAP, GuessExhausted,
                      InvariantViolation)
 
@@ -167,6 +168,17 @@ def parse_instance(text: Union[str, bytes]) -> InstanceFile:
                     f"constraint.triplets[{idx}]: not sorted by (row, col) "
                     "or duplicate entry")
             prev = (r, c)
+    if con["type"] == "polymatroid":
+        # checked before the dense (sets x n) incidence is allocated
+        kind = con.get("kind")
+        family = (con.get("parts") if kind == PARTITION
+                  else con.get("sets") if kind == LAMINAR else None)
+        rows = max(len(family), 1) if isinstance(family, list) else 1
+        if rows * n > MAX_POLYMATROID_ENTRIES:
+            raise InstanceError(
+                f"constraint.n: {rows} sets x {n} elements = {rows * n} "
+                f"incidence entries, above the limit of "
+                f"{MAX_POLYMATROID_ENTRIES}")
     inst = InstanceFile(objective=obj, constraint=con, eps=float(eps),
                         seed=seed, known_opt=data.get("known_opt"))
     # surface structural problems (negative weights, non-laminar family,
@@ -276,14 +288,6 @@ def _verify(args) -> int:
     return _EXIT_BY_TERMINATION[report.termination]
 
 
-def _selftest(args) -> int:
-    from . import selftest
-    ok, checks = selftest.run_quick_suite(seed=args.seed or 0)
-    _emit_report({"schema": 1, "selftest": "ok" if ok else "failed",
-                  "checks": checks}, args.report)
-    return EXIT_OK if ok else EXIT_INVARIANT
-
-
 def _add_common(sub):
     sub.add_argument("instance", help="instance JSON file")
     sub.add_argument("--eps", type=float, default=None,
@@ -305,16 +309,11 @@ def main(argv=None) -> int:
     _add_common(subs.add_parser("solve-packing"))
     _add_common(subs.add_parser("solve-matroid"))
     _add_common(subs.add_parser("verify"))
-    st = subs.add_parser("selftest")
-    st.add_argument("--seed", type=int, default=0)
-    st.add_argument("--report", default=None)
     args = parser.parse_args(argv)
 
     try:
         if args.command == "verify":
             return _verify(args)
-        if args.command == "selftest":
-            return _selftest(args)
         return _solve_command(args)
     except InstanceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Polymatroid rank oracles, tight sets, water-filling and exchange vectors.
+"""Polymatroid rank oracles, tight sets and water-filling.
 
 Shipped rank functions are uniform, partition, and laminar; all three are
 represented internally as a laminar family of capacitated sets plus an
@@ -15,7 +15,6 @@ and a `waterfill` without sums check their point themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,9 +25,9 @@ UNIFORM = "uniform"
 PARTITION = "partition"
 LAMINAR = "laminar"
 
-
-class RankOracleError(RuntimeError):
-    """Signals an internal inconsistency in a rank oracle computation."""
+# largest (sets or parts) * n accepted from an instance file: the family is
+# held as a dense incidence matrix, and building it walks every column
+MAX_POLYMATROID_ENTRIES = 1_000_000
 
 
 @dataclass
@@ -86,9 +85,20 @@ class PolymatroidInstance:
             if any(not (0 <= i < n) for i in members):
                 raise ValueError("set element out of range")
             family.append((members, float(cap)))
-        for (a, _), (b, _) in combinations(family, 2):
-            if a & b and not (a <= b or b <= a):
-                raise ValueError(f"family is not laminar: {sorted(a)} vs {sorted(b)}")
+        # largest sets first: a set is laminar with the sets before it iff
+        # its elements all have the same owner, the last set that took them
+        owner = [None] * n
+        for k in sorted(range(len(family)), key=lambda k: -len(family[k][0])):
+            members = family[k][0]
+            owners = {owner[i] for i in members}
+            if len(owners) > 1:
+                j = next(j for j in owners
+                         if j is not None and not members <= family[j][0])
+                a, b = sorted((j, k))
+                raise ValueError(f"family is not laminar: "
+                                 f"{sorted(family[a][0])} vs {sorted(family[b][0])}")
+            for i in members:
+                owner[i] = k
         return cls._of_family(LAMINAR, n, family)
 
     @classmethod
@@ -196,84 +206,6 @@ class PolymatroidInstance:
         return not (x.max(initial=0.0) > scale + tol
                     or (sums > scale * self.caps + tol).any())
 
-    # -- exchange vector (test-support oracle) ----------------------------
-
-    def exchange_vector(self, a, b, c, tol: float = TIGHT_TOL) -> np.ndarray:
-        """Constructive exchange: d with 0 <= d <= c, b + d in P, and
-        ||c - d||_1 <= ||b - a||_1, given a + c in P, b in P, a <= b.
-
-        Minimal tight sets and residual capacities are found by exhaustive
-        subset enumeration, which is exact for every shipped kind; this
-        oracle is test support, not on the solve path, so n is capped at 16.
-        """
-        a = self._vec(a)
-        b = self._vec(b)
-        c = self._vec(c)
-        if self.n > 16:
-            raise ValueError("exchange_vector supports n <= 16")
-        if not self.membership(a + c, 1.0, tol):
-            raise ValueError("a + c is not in P")
-        if not self.membership(b, 1.0, tol):
-            raise ValueError("b is not in P")
-        if np.any(a > b + tol):
-            raise ValueError("a <= b is required")
-
-        ranks = {}
-        for mask in range(1 << self.n):
-            S = frozenset(i for i in range(self.n) if mask >> i & 1)
-            ranks[S] = self.rank(S)
-
-        def min_slack(v, contain, exclude=None):
-            best = np.inf
-            best_sets = []
-            for S, r in ranks.items():
-                if contain not in S:
-                    continue
-                if exclude is not None and exclude in S:
-                    continue
-                slack = r - sum(v[i] for i in S)
-                if slack < best - tol:
-                    best, best_sets = slack, [S]
-                elif slack <= best + tol:
-                    best_sets.append(S)
-            return best, best_sets
-
-        bh = a.copy()
-        dh = c.copy()
-        max_iter = 4 * self.n * self.n + 8
-        for _ in range(max_iter):
-            todo = [i for i in range(self.n) if bh[i] < b[i] - tol]
-            if not todo:
-                break
-            i = todo[0]
-            v = bh + dh
-            slack, _ = min_slack(v, i)
-            step = min(max(slack, 0.0), b[i] - bh[i])
-            bh[i] += step
-            if bh[i] >= b[i] - tol:
-                continue
-            v = bh + dh
-            _, tight_sets = min_slack(v, i)
-            tmin = frozenset.intersection(*tight_sets)
-            donors = [j for j in tmin if dh[j] > tol]
-            if not donors:
-                raise RankOracleError(
-                    "no donor coordinate in the minimal tight set; "
-                    "rank oracle inconsistency")
-            j = donors[0]
-            if j == i:
-                gamma = np.inf
-            else:
-                gamma, _ = min_slack(v, i, exclude=j)
-            delta = min(b[i] - bh[i], gamma, dh[j])
-            if delta <= tol:
-                raise RankOracleError("exchange procedure stalled")
-            bh[i] += delta
-            dh[j] -= delta
-        else:
-            raise RankOracleError("exchange procedure exceeded 4n^2 iterations")
-        return np.clip(dh, 0.0, c)
-
     # -- misc -------------------------------------------------------------
 
     def _vec(self, x) -> np.ndarray:
@@ -283,15 +215,3 @@ class PolymatroidInstance:
         if x.min(initial=0.0) < 0:
             raise ValueError("negative entries are not allowed")
         return x
-
-    def membership_bruteforce(self, x, scale: float = 1.0,
-                              tol: float = TIGHT_TOL) -> bool:
-        """2^n reference check of x(S) <= scale * r(S); n <= 16."""
-        x = self._vec(x)
-        if self.n > 16:
-            raise ValueError("brute-force membership supports n <= 16")
-        for mask in range(1 << self.n):
-            S = [i for i in range(self.n) if mask >> i & 1]
-            if sum(x[i] for i in S) > scale * self.rank(S) + tol:
-                return False
-        return True

@@ -2,7 +2,9 @@
 
 smax_eta(z) = eta * ln(sum_j exp(z_j / eta)) is a smooth upper bound on
 max_j z_j.  All computations are max-shifted so that small eta (large
-z/eta) never overflows.
+z/eta) never overflows.  The paper's second-order bound on the increase
+of smax is a step of its analysis, not of the solvers, so it is checked
+by the tests and not shipped here.
 """
 
 from __future__ import annotations
@@ -57,33 +59,3 @@ def smax_grad(z, p: SoftmaxParams) -> np.ndarray:
     w = np.exp((z - z.max(axis=-1)[..., None]) / p.eta)
     return w / w.sum(axis=-1)[..., None]
 
-
-def increment_bound(x, d, A, p: SoftmaxParams) -> float:
-    """Second-order upper bound on smax(A(x+d)).
-
-    Returns smax(Ax) + <A^T grad smax(Ax), d + ||Ax||_inf * (1/eta) *
-    pinv(x) * (d o d)>, where pinv inverts nonzero entries of x and maps
-    zero to zero.  Valid under the hypothesis (1/eta) * ||Ad||_inf <= 1/2,
-    which is checked and reported if violated.
-    """
-    x = np.asarray(x, dtype=float)
-    d = np.asarray(d, dtype=float)
-    A = np.asarray(A, dtype=float)
-    if A.shape != (p.m, x.size) or d.shape != x.shape:
-        raise ValueError("inconsistent dimensions")
-    if np.any(x < 0) or np.any(d < 0) or np.any(A < 0):
-        raise ValueError("x, d and A must be non-negative")
-    Ad = A @ d
-    if Ad.size and float(np.abs(Ad).max()) / p.eta > 0.5 + 1e-12:
-        raise ValueError(
-            "hypothesis violated: (1/eta) * ||A d||_inf = "
-            f"{float(np.abs(Ad).max()) / p.eta:.6g} > 1/2"
-        )
-    Ax = A @ x
-    g = smax_grad(Ax, p)
-    ax_inf = float(Ax.max()) if Ax.size else 0.0
-    pinv = np.zeros_like(x)
-    nz = x > 0
-    pinv[nz] = 1.0 / x[nz]
-    correction = ax_inf * (1.0 / p.eta) * pinv * (d * d)
-    return smax(Ax, p) + float((A.T @ g) @ (d + correction))

@@ -1,0 +1,163 @@
+"""Test-support oracles: exhaustive references and proof devices.
+
+The paper's exchange-vector construction and its softmax increment bound
+are steps of the analysis, not of the algorithm; the 2^n membership check
+and the multilinear enumeration are exhaustive references.  None of them
+is on the solve path, so they live beside the tests that use them and
+reach the package only through its public API.
+"""
+
+from itertools import product
+
+import numpy as np
+
+from drsubmax import (ObjectiveSpec, PolymatroidInstance, SoftmaxParams,
+                      smax, smax_grad)
+from drsubmax.polymatroid import TIGHT_TOL
+
+
+def _vec(pm: PolymatroidInstance, x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (pm.n,):
+        raise ValueError(f"expected vector of length {pm.n}, got shape {x.shape}")
+    if x.min(initial=0.0) < 0:
+        raise ValueError("negative entries are not allowed")
+    return x
+
+
+def exchange_vector(pm: PolymatroidInstance, a, b, c,
+                    tol: float = TIGHT_TOL) -> np.ndarray:
+    """Constructive exchange: d with 0 <= d <= c, b + d in P, and
+    ||c - d||_1 <= ||b - a||_1, given a + c in P, b in P, a <= b.
+
+    Minimal tight sets and residual capacities are found by exhaustive
+    subset enumeration, which is exact for every shipped kind; this
+    oracle is test support, not on the solve path, so n is capped at 16.
+    """
+    a = _vec(pm, a)
+    b = _vec(pm, b)
+    c = _vec(pm, c)
+    if pm.n > 16:
+        raise ValueError("exchange_vector supports n <= 16")
+    if not pm.membership(a + c, 1.0, tol):
+        raise ValueError("a + c is not in P")
+    if not pm.membership(b, 1.0, tol):
+        raise ValueError("b is not in P")
+    if np.any(a > b + tol):
+        raise ValueError("a <= b is required")
+
+    ranks = {}
+    for mask in range(1 << pm.n):
+        S = frozenset(i for i in range(pm.n) if mask >> i & 1)
+        ranks[S] = pm.rank(S)
+
+    def min_slack(v, contain, exclude=None):
+        best = np.inf
+        best_sets = []
+        for S, r in ranks.items():
+            if contain not in S:
+                continue
+            if exclude is not None and exclude in S:
+                continue
+            slack = r - sum(v[i] for i in S)
+            if slack < best - tol:
+                best, best_sets = slack, [S]
+            elif slack <= best + tol:
+                best_sets.append(S)
+        return best, best_sets
+
+    bh = a.copy()
+    dh = c.copy()
+    max_iter = 4 * pm.n * pm.n + 8
+    for _ in range(max_iter):
+        todo = [i for i in range(pm.n) if bh[i] < b[i] - tol]
+        if not todo:
+            break
+        i = todo[0]
+        v = bh + dh
+        slack, _ = min_slack(v, i)
+        step = min(max(slack, 0.0), b[i] - bh[i])
+        bh[i] += step
+        if bh[i] >= b[i] - tol:
+            continue
+        v = bh + dh
+        _, tight_sets = min_slack(v, i)
+        tmin = frozenset.intersection(*tight_sets)
+        donors = [j for j in tmin if dh[j] > tol]
+        if not donors:
+            raise RuntimeError(
+                "no donor coordinate in the minimal tight set; "
+                "rank oracle inconsistency")
+        j = donors[0]
+        if j == i:
+            gamma = np.inf
+        else:
+            gamma, _ = min_slack(v, i, exclude=j)
+        delta = min(b[i] - bh[i], gamma, dh[j])
+        if delta <= tol:
+            raise RuntimeError("exchange procedure stalled")
+        bh[i] += delta
+        dh[j] -= delta
+    else:
+        raise RuntimeError("exchange procedure exceeded 4n^2 iterations")
+    return np.clip(dh, 0.0, c)
+
+
+def membership_bruteforce(pm: PolymatroidInstance, x, scale: float = 1.0,
+                          tol: float = TIGHT_TOL) -> bool:
+    """2^n reference check of x(S) <= scale * r(S); n <= 16."""
+    x = _vec(pm, x)
+    if pm.n > 16:
+        raise ValueError("brute-force membership supports n <= 16")
+    for mask in range(1 << pm.n):
+        S = [i for i in range(pm.n) if mask >> i & 1]
+        if sum(x[i] for i in S) > scale * pm.rank(S) + tol:
+            return False
+    return True
+
+
+def increment_bound(x, d, A, p: SoftmaxParams) -> float:
+    """Second-order upper bound on smax(A(x+d)).
+
+    Returns smax(Ax) + <A^T grad smax(Ax), d + ||Ax||_inf * (1/eta) *
+    pinv(x) * (d o d)>, where pinv inverts nonzero entries of x and maps
+    zero to zero.  Valid under the hypothesis (1/eta) * ||Ad||_inf <= 1/2,
+    which is checked and reported if violated.
+    """
+    x = np.asarray(x, dtype=float)
+    d = np.asarray(d, dtype=float)
+    A = np.asarray(A, dtype=float)
+    if A.shape != (p.m, x.size) or d.shape != x.shape:
+        raise ValueError("inconsistent dimensions")
+    if np.any(x < 0) or np.any(d < 0) or np.any(A < 0):
+        raise ValueError("x, d and A must be non-negative")
+    Ad = A @ d
+    if Ad.size and float(np.abs(Ad).max()) / p.eta > 0.5 + 1e-12:
+        raise ValueError(
+            "hypothesis violated: (1/eta) * ||A d||_inf = "
+            f"{float(np.abs(Ad).max()) / p.eta:.6g} > 1/2"
+        )
+    Ax = A @ x
+    g = smax_grad(Ax, p)
+    ax_inf = float(Ax.max()) if Ax.size else 0.0
+    pinv = np.zeros_like(x)
+    nz = x > 0
+    pinv[nz] = 1.0 / x[nz]
+    correction = ax_inf * (1.0 / p.eta) * pinv * (d * d)
+    return smax(Ax, p) + float((A.T @ g) @ (d + correction))
+
+
+def multilinear_enumeration(obj: ObjectiveSpec, x) -> float:
+    """Exact multilinear value sum_S f(S) prod_{i in S} x_i prod_{i not in S}(1-x_i)."""
+    x = np.minimum(np.asarray(x, dtype=float), 1.0)
+    n = obj.n
+    if n > 20:
+        raise ValueError("enumeration supports n <= 20")
+    total = 0.0
+    for bits in product([0, 1], repeat=n):
+        w = 1.0
+        for i, b in enumerate(bits):
+            w *= x[i] if b else 1.0 - x[i]
+        if w > 0:
+            total += w * obj.set_value([i for i, b in enumerate(bits) if b])
+    return total

@@ -3,8 +3,9 @@ import pytest
 
 from drsubmax import (ObjectiveSpec, PolymatroidInstance,
                       brute_force_matroid_opt, finite_diff_grad,
-                      grid_fractional_opt, multilinear_enumeration,
-                      normalize_packing)
+                      grid_fractional_opt, normalize_packing)
+
+from oracles import multilinear_enumeration
 
 
 def test_unconstrained_coverage_opt():

@@ -3,9 +3,15 @@ from pathlib import Path
 
 import pytest
 
+import drsubmax
 from drsubmax.cli import (InstanceError, emit_instance, main, parse_instance)
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "linear_packing.json"
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in drsubmax.__all__
+            if not hasattr(drsubmax, name)] == []
 
 
 def test_fixture_parses():
@@ -174,6 +180,16 @@ NAN, INF = float("nan"), float("inf")
         "constraint": {"type": "packing", "m": 1, "n": 3200,
                        "triplets": [[0, j, 1.0] for j in range(3200)]},
         "eps": 0.05}), "box rows", id="huge-box-rows"),
+    (_set(["constraint"], {"type": "polymatroid", "kind": [], "n": 2}),
+     "constraint.kind"),
+    # rejected before the dense (sets x n) incidence is allocated
+    pytest.param(_set(["constraint"], {"type": "polymatroid", "kind": "uniform",
+                                       "n": 10**12, "k": 1}),
+                 "incidence entries", id="huge-uniform-n"),
+    pytest.param(_set(["constraint"], {"type": "polymatroid", "kind": "partition",
+                                       "n": 10**12, "parts": [[0], [1]],
+                                       "caps": [1, 1]}),
+                 "incidence entries", id="huge-partition-n"),
 ])
 def test_bad_instance_values_rejected(tmp_path, capsys, mutate, match):
     text = mutate(json.loads(FIXTURE.read_text()))
@@ -205,9 +221,3 @@ def test_tiny_eps_rejected_up_front(capsys, flags, match):
     assert main(["solve-packing", str(FIXTURE)] + flags) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and match in err
-
-
-def test_selftest_subcommand(capsys):
-    assert main(["selftest"]) == 0
-    rep = json.loads(capsys.readouterr().out)
-    assert rep["selftest"] == "ok"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drsubmax import (ObjectiveSpec, PackingSolverConfig, add_box_rows,
                       grid_fractional_opt, normalize_packing,
@@ -158,3 +160,60 @@ def test_iteration_caps_reject_tiny_eps(cap):
     for eps in (1e-300, 1e-160):
         with pytest.raises(ValueError, match="iteration cap"):
             cap(eps)
+
+
+@st.composite
+def packing_cases(draw):
+    """(objective, instance, M) with n <= 6, m <= 4: a linear or coverage
+    objective on a random packing matrix, or a directed cut on the matrix
+    with its box rows; M is a fraction of an upper bound on the optimum."""
+    kind = draw(st.sampled_from(["linear", "coverage", "cut"]))
+    n = draw(st.integers(2 if kind == "cut" else 1, 6))
+    m = draw(st.integers(1, 4))
+    A = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(0.05, 3.0)),
+                               min_size=m * n, max_size=m * n))).reshape(m, n)
+    A[0, ~A.any(axis=0)] = 1.0  # every column needs a nonzero entry
+    inst = normalize_packing(A, EPS)
+    weights = st.floats(0.5, 2.0)
+    if kind == "linear":
+        obj = ObjectiveSpec.linear(draw(st.lists(weights, min_size=n,
+                                                 max_size=n)))
+        top = obj.eval(np.ones(n))
+    elif kind == "coverage":
+        u = draw(st.integers(1, 6))
+        covers = draw(st.lists(st.lists(st.integers(0, u - 1), min_size=1,
+                                        max_size=3), min_size=n, max_size=n))
+        obj = ObjectiveSpec.coverage(draw(st.lists(weights, min_size=u,
+                                                   max_size=u)), covers)
+        top = obj.eval(np.ones(n))
+    else:
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)),
+                              min_size=1, max_size=2 * n))
+        arcs = [(u, v, draw(weights)) for u, v in pairs if u != v]
+        obj = ObjectiveSpec.directed_cut(n, arcs)
+        inst = add_box_rows(inst)
+        top = sum(w for _, _, w in arcs) or 1.0
+    return obj, inst, draw(st.floats(0.05, 1.0)) * top
+
+
+@given(packing_cases())
+@settings(max_examples=30, deadline=None)
+def test_random_packing_solves_keep_their_invariants(case):
+    # every invariant check runs inside the solve: InvariantViolation fails
+    obj, inst, M = case
+    iterates = []
+    # an oversized guess can run 600,000 iterations to the default cap
+    cfg = PackingSolverConfig(eps=EPS, M=M, max_iterations=5000,
+                              iterate_hook=iterates.append)
+    solve = solve_packing_monotone if obj.monotone else solve_packing_nonmonotone
+    r = solve(obj, inst, cfg)
+    assert r.adaptive_rounds == 1 + r.inner_iterations
+    assert len(iterates) == 1 + r.inner_iterations
+    assert r.value == obj.eval(r.solution)
+    if r.termination == CONVERGED:
+        assert r.feasible
+        assert (inst.A @ r.solution).max() <= 1 - 2 * EPS + 1e-9
+    if obj.monotone:  # F is non-decreasing along the iterates
+        values = [obj.eval(x) for x in iterates]
+        assert all(b >= a for a, b in zip(values, values[1:]))

@@ -1,3 +1,4 @@
+import json
 from itertools import combinations
 
 import numpy as np
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drsubmax.polymatroid import PolymatroidInstance
+
+from oracles import exchange_vector, membership_bruteforce
 
 
 def laminar_example():
@@ -76,6 +79,28 @@ def test_rank_is_monotone_and_submodular():
             assert pm.rank(S | T) + pm.rank(S & T) <= pm.rank(S) + pm.rank(T) + 1e-12
 
 
+def is_laminar_reference(sets):
+    """The pairwise rule: any two sets are disjoint or nested."""
+    return all(not a & b or a <= b or b <= a for a, b in combinations(sets, 2))
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.frozensets(st.integers(0, n - 1)), max_size=6))))
+@settings(max_examples=300, deadline=None)
+def test_laminar_check_matches_pairwise_rule(case):
+    n, sets = case
+    caps = [1.0] * len(sets)
+    if is_laminar_reference(sets):
+        PolymatroidInstance.laminar(n, sets, caps)
+        return
+    with pytest.raises(ValueError, match="not laminar") as err:
+        PolymatroidInstance.laminar(n, sets, caps)
+    # the message names two sets of the family that break the rule
+    a, b = (frozenset(json.loads(part))
+            for part in str(err.value).split(": ", 1)[1].split(" vs "))
+    assert a in sets and b in sets and not is_laminar_reference([a, b])
+
+
 def test_family_validation():
     with pytest.raises(ValueError):
         PolymatroidInstance.partition(4, [[0, 1], [1, 2]], [1, 1])
@@ -92,7 +117,7 @@ def test_membership_matches_bruteforce(seed):
     pm = laminar_example()
     x = rng.uniform(0, 1.2, size=4)
     scale = float(rng.uniform(0.3, 1.0))
-    assert pm.membership(x, scale) == pm.membership_bruteforce(x, scale)
+    assert pm.membership(x, scale) == membership_bruteforce(pm, x, scale)
 
 
 def test_tight_set_examples():
@@ -253,7 +278,7 @@ def test_exchange_vector_properties(make_pm):
     pm = make_pm()
     for _ in range(50):
         a, b, c = exchange_case(pm, rng)
-        d = pm.exchange_vector(a, b, c)
+        d = exchange_vector(pm, a, b, c)
         assert np.all(d >= -1e-9)
         assert np.all(d <= c + 1e-9)
         assert pm.membership(b + d, tol=1e-7)
@@ -264,13 +289,13 @@ def test_exchange_vector_trivial_when_b_equals_a():
     pm = PolymatroidInstance.uniform(3, 2)
     a = np.array([0.2, 0.3, 0.0])
     c = np.array([0.1, 0.1, 0.5])
-    d = pm.exchange_vector(a, a, c)
+    d = exchange_vector(pm, a, a, c)
     np.testing.assert_allclose(d, c, atol=1e-9)
 
 
 def test_exchange_vector_input_validation():
     pm = PolymatroidInstance.uniform(2, 1)
     with pytest.raises(ValueError):
-        pm.exchange_vector([0.9, 0.9], [0.1, 0.1], [0.5, 0.5])  # a+c not in P
+        exchange_vector(pm, [0.9, 0.9], [0.1, 0.1], [0.5, 0.5])  # a+c not in P
     with pytest.raises(ValueError):
-        pm.exchange_vector([0.5, 0.0], [0.1, 0.1], [0.1, 0.1])  # a > b
+        exchange_vector(pm, [0.5, 0.0], [0.1, 0.1], [0.1, 0.1])  # a > b

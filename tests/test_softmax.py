@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drsubmax.softmax import SoftmaxParams, increment_bound, smax, smax_grad
+from drsubmax.softmax import SoftmaxParams, smax, smax_grad
+
+from oracles import increment_bound
 
 
 def test_params_validation():
