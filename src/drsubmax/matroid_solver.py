@@ -7,9 +7,11 @@ water-filling step raises each eligible coordinate by up to a (1+eps)
 multiplicative factor while staying inside eps*P.  The non-monotone
 variant dampens the accumulated solution measured-greedy style.
 
-Each inner step checks its point against (eps/(1+eps))*P and computes the
-family's set sums once (`PolymatroidInstance.tight_mask`); the tight set is
-a boolean mask, and the water-fill reuses those sums.
+Inputs are checked once, by the config, the constructors, the public
+membership test of the initial point and the public water-fill of the
+first step; the loop then calls the unchecked oracle kernels on the state
+it builds.  Each step computes the family's set sums once, for its
+(eps/(1+eps))*P check, its tight mask and its fill.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from typing import Optional
 import numpy as np
 
 from .objective import ObjectiveSpec
-from .polymatroid import PolymatroidInstance
+from .polymatroid import TIGHT_TOL, PolymatroidInstance
 from .report import (CONVERGED, GUESS_REJECTED, ITERATION_CAP,
-                     InvariantViolation, RoundCounter, SolveReport, finite_cap)
+                     InvariantViolation, RoundCounter, SolveReport,
+                     check_params, finite_cap)
 
 ITER_BUDGET_K = 64
 
@@ -35,10 +38,7 @@ class MatroidSolverConfig:
     max_iterations: Optional[int] = None  # default: iteration_budget
 
     def __post_init__(self):
-        if not (0 < self.eps <= 0.05):
-            raise ValueError(f"eps must be in (0, 0.05], got {self.eps}")
-        if not (self.M > 0):
-            raise ValueError(f"M must be positive, got {self.M}")
+        check_params(self.eps, [self.M], self.max_iterations)
 
 
 def iteration_budget(n: int, eps: float) -> int:
@@ -77,6 +77,11 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
     rounds.observe(n)  # singleton batch for the gradient-scale bound
 
     x0 = _initial_point(pm, n, eps, D, scale)
+    # the bounds of scale * P and of its tight sets, and the fill's caps
+    x_hi, x_lo = scale + TIGHT_TOL, scale - TIGHT_TOL
+    caps = scale * pm.caps
+    caps_hi, caps_lo = caps + TIGHT_TOL, caps - TIGHT_TOL
+    fill_caps = caps.tolist()
 
     z = np.zeros(n)
     notes: list = []
@@ -85,10 +90,10 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
 
     for j in range(epochs):
         if monotone:
-            g = lambda v: obj.eval(np.minimum(v + z, 1.0))
+            g = lambda v: float(obj._values((v + z)[None])[0])
             threshold = eps * ((1.0 - 10.0 * eps) * M)
         else:
-            g = lambda v: obj.eval(np.minimum((1.0 - z) * v + z, 1.0))
+            g = lambda v: float(obj._values(((1.0 - z) * v + z)[None])[0])
             threshold = eps * (((1.0 - eps / (1.0 + eps)) ** j - 10.0 * eps) * M)
 
         xt = x0.copy()
@@ -104,15 +109,19 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
                 termination = ITERATION_CAP
                 break
             if monotone:
-                c = obj.grad((1.0 + eps) * xt + z)
+                c = obj._clamped_grad((1.0 + eps) * xt + z)
             else:
-                c = (1.0 - z) * obj.grad((1.0 - z) * (1.0 + eps) * xt + z)
-            # one check of xt and one x(S) per step, shared by both calls
-            tight, sums = pm.tight_mask(xt, scale)
-            if (tight_prev & ~tight).any():
+                c = (1.0 - z) * obj._clamped_grad((1.0 - z) * (1.0 + eps) * xt + z)
+            # one x(S) per step, shared by the check, the mask and the fill
+            sums = pm.incidence @ xt
+            if not pm._fits(xt, sums, x_hi, caps_hi):
+                raise ValueError("x is not in scale * P")
+            tight = pm._tight(xt, sums, x_lo, caps_lo)
+            free = ~tight
+            if np.count_nonzero(tight_prev & free):
                 raise InvariantViolation("tight set lost coordinates")
             tight_prev = tight
-            outside = c[~tight]
+            outside = c[free]
             if not outside.size:
                 rejected = True
                 break
@@ -124,9 +133,14 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
             if v2 > v2_prev * (1.0 + 1e-9):
                 raise InvariantViolation("bucket value v2 increased within an epoch")
             v2_prev = v2
-            y = pm.waterfill(xt, (c >= v2).nonzero()[0].tolist(), eps,
-                             sums=sums)
-            if float(y.sum()) <= 0.0:
+            eligible = (c >= v2).nonzero()[0].tolist()  # ascending
+            # the solve's first fill is checked like any caller's; the
+            # later ones start from the state the fills built
+            if total_inner == 0:
+                y = pm.waterfill(xt, eligible, eps)
+            else:
+                y = pm._step_fill(xt, eligible, sums, eps, fill_caps)
+            if not np.count_nonzero(y):  # y >= 0: no coordinate rose
                 rejected = True
                 break
             xt = xt + y

@@ -7,11 +7,18 @@ The closed forms are stored as index arrays, so each oracle is one array
 formula over all universe items or arcs.
 
 Values are extended beyond [0,1]^n by clamping at 1 (f(x) = f(x ^ 1)); the
-gradient of a clamped coordinate is 0.  Negative entries are rejected.
+gradient of a clamped coordinate is 0.
+
+Validation happens at the boundary: the constructors reject negative or
+non-finite weights, and the public oracles reject points of the wrong
+shape or with negative entries.  Each public oracle is that check followed
+by a private kernel (`_values`, `_clamped_grad`), which the
+solver loops call directly on the points they build themselves.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
@@ -62,9 +69,7 @@ class ObjectiveSpec:
 
         Each covers[i] is a set: an item listed twice is covered once.
         """
-        weights = np.asarray(weights, dtype=float)
-        if not np.all(weights >= 0):
-            raise ValueError("coverage weights must be non-negative")
+        weights = _weights(weights, "coverage")
         u = len(weights)
         pairs = set()
         for i, items in enumerate(covers):
@@ -87,8 +92,9 @@ class ObjectiveSpec:
                 raise ValueError(f"arc ({u},{v}) out of range")
             if u == v:
                 raise ValueError(f"self-loop ({u},{u}) not allowed")
-            if not w >= 0:
-                raise ValueError(f"arc ({u},{v}): negative weight {w}")
+            if not 0 <= w < math.inf:
+                raise ValueError(f"arc ({u},{v}): weight {w} is negative "
+                                 "or not finite")
             tail.append(operator.index(u))
             head.append(operator.index(v))
             weights.append(float(w))
@@ -98,9 +104,7 @@ class ObjectiveSpec:
 
     @classmethod
     def linear(cls, weights: Sequence[float]):
-        weights = np.asarray(weights, dtype=float)
-        if not np.all(weights >= 0):
-            raise ValueError("linear weights must be non-negative")
+        weights = _weights(weights, "linear")
         return cls(kind=LINEAR, n=weights.size, monotone=True, weights=weights)
 
     @classmethod
@@ -157,7 +161,8 @@ class ObjectiveSpec:
         return rng.random((self.samples, self.n)) < x
 
     def _values(self, X: np.ndarray) -> np.ndarray:
-        """F at each row of X, whose entries are already clamped to [0, 1]."""
+        """F at each row of a checked (k, n) matrix X, clamped at 1."""
+        X = np.minimum(X, 1.0)
         if self.kind == LINEAR:
             return X @ self.weights
         if self.kind == COVERAGE:
@@ -182,7 +187,7 @@ class ObjectiveSpec:
             # no zero complement that bookkeeping changes no bit: skip it.
             comp = 1.0 - x[self.elems]
             zero = comp == 0.0
-            if not zero.any():
+            if not np.count_nonzero(zero):
                 part = (self.weights * np.multiply.reduceat(comp, self.starts))
                 return _scatter(self.elems, part[self.item] / comp, self.n)
             safe = comp + zero
@@ -202,37 +207,41 @@ class ObjectiveSpec:
                 g[i] += self.set_fn(base | {i}) - self.set_fn(base - {i})
         return g / self.samples
 
+    def _clamped_grad(self, X: np.ndarray) -> np.ndarray:
+        """Gradient at X clamped at 1, with 0 where X is above 1; X is a
+        checked vector or (k, n) matrix.
+
+        A closed form takes the gradient of k disjoint copies of itself at
+        the rows laid end to end, so row i is the gradient at X[i] exactly.
+        """
+        clamped = np.minimum(X, 1.0)
+        if X.ndim == 1:
+            g = self._grad(clamped)
+        elif self.kind == SAMPLED:
+            g = np.array([self._grad(x) for x in clamped]).reshape(X.shape)
+        else:
+            g = self._copies(X.shape[0])._grad(clamped.ravel()).reshape(X.shape)
+        g[X > 1.0] = 0.0
+        return g
+
     # -- oracles ----------------------------------------------------------
 
     def eval(self, x) -> float:
         """Multilinear extension value F(x); entries above 1 are clamped."""
-        return float(self._values(np.minimum(self._check(x), 1.0)[None])[0])
+        return float(self._values(self._check(x)[None])[0])
 
     def eval_many(self, X) -> np.ndarray:
         """eval of every row of X, which has shape (k, n)."""
-        return self._values(np.minimum(self._check(X, ndim=2), 1.0))
+        return self._values(self._check(X, ndim=2))
 
     def grad(self, x) -> np.ndarray:
         """Gradient of F at x ^ 1; coordinates clamped at 1 get gradient 0."""
-        raw = self._check(x)
-        g = self._grad(np.minimum(raw, 1.0))
-        g[raw > 1.0] = 0.0
-        return g
+        return self._clamped_grad(self._check(x))
 
     def grad_many(self, X) -> np.ndarray:
-        """grad of every row of X, which has shape (k, n).
-
-        A closed form takes the gradient of k disjoint copies of itself at
-        the rows laid end to end, so row i equals grad(X[i]) exactly.
-        """
-        raw = self._check(X, ndim=2)
-        clamped = np.minimum(raw, 1.0)
-        if self.kind == SAMPLED:
-            g = np.array([self._grad(x) for x in clamped]).reshape(raw.shape)
-        else:
-            g = self._copies(raw.shape[0])._grad(clamped.ravel()).reshape(raw.shape)
-        g[raw > 1.0] = 0.0
-        return g
+        """grad of every row of X, which has shape (k, n); row i equals
+        grad(X[i]) exactly."""
+        return self._clamped_grad(self._check(X, ndim=2))
 
     def singleton_values(self) -> np.ndarray:
         """(f(1_1), ..., f(1_n)), evaluated exactly for every kind."""
@@ -250,6 +259,14 @@ class ObjectiveSpec:
         ind = np.zeros(self.n)
         ind[list(S)] = 1.0
         return self.eval(ind)
+
+
+def _weights(weights, kind: str) -> np.ndarray:
+    """`weights` as floats, each non-negative and finite."""
+    weights = np.asarray(weights, dtype=float)
+    if not np.all((weights >= 0) & (weights < np.inf)):
+        raise ValueError(f"{kind} weights must be non-negative and finite")
+    return weights
 
 
 def _scatter(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:

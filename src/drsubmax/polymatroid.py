@@ -6,10 +6,14 @@ implicit per-element capacity of 1, so membership and tight sets are exact
 without general submodular minimization.
 
 The family is an incidence matrix plus caps, and, built once with it, the
-list of family rows that hold each element.  The matroid solver's step
-uses `tight_mask`, which checks its point once and returns the set sums
-x(S) with the tight set, and hands those sums to `waterfill`; `tight_set`
-and a `waterfill` without sums check their point themselves.
+list of family rows that hold each element.
+
+Validation happens at the boundary: the constructors check the family,
+and each public method checks its point (shape, sign and, where it
+matters, membership in scale * P) and then runs a private kernel
+(`_fits`, `_tight`, `_step_fill`).  The matroid solver's step calls those
+kernels directly, with the bounds scale * caps -/+ tol computed once per
+solve; only its first fill goes through the checked `waterfill`.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ class PolymatroidInstance:
     The rank is given by a laminar family of capacitated sets, stored as a
     (sets x n) 0/1 `incidence` matrix and a `caps` vector; every element
     additionally carries the implicit capacity 1 (so r({i}) <= 1).
-    `rows_of[i]` lists, in ascending order, the family rows that hold i.
+    `rows_of[i]` lists, in ascending order, the family rows that hold i;
+    `members` is `incidence` as booleans.
     """
 
     kind: str
@@ -45,9 +50,11 @@ class PolymatroidInstance:
     incidence: np.ndarray
     caps: np.ndarray
     rows_of: list = field(init=False, repr=False)
+    members: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.rows_of = [np.flatnonzero(col).tolist() for col in self.incidence.T]
+        self.members = self.incidence > 0.0
 
     @classmethod
     def uniform(cls, n: int, k: float):
@@ -122,30 +129,27 @@ class PolymatroidInstance:
         if any(not (0 <= i < self.n) for i in S):
             raise ValueError("element index out of range")
         return float(self._fill(sorted(S), [1.0] * self.n,
-                                np.zeros(self.caps.size), self.caps).sum())
+                                [0.0] * self.caps.size, self.caps.tolist()).sum())
 
     # -- membership and tight sets ---------------------------------------
 
     def membership(self, x, scale: float = 1.0, tol: float = TIGHT_TOL) -> bool:
         """True iff x(S) <= scale * r(S) for all S (exact for these kinds)."""
         x = self._vec(x)
-        return self._fits(x, self.incidence @ x, scale, tol)
+        return self._fits(x, self.incidence @ x, scale + tol,
+                          scale * self.caps + tol)
 
     def tight_set(self, x, scale: float = 1.0, tol: float = TIGHT_TOL) -> frozenset:
-        """The unique maximal S with x(S) = scale * r(S)."""
-        return frozenset(np.flatnonzero(self.tight_mask(x, scale, tol)[0]).tolist())
+        """The unique maximal S with x(S) = scale * r(S).
 
-    def tight_mask(self, x, scale: float = 1.0, tol: float = TIGHT_TOL):
-        """(tight, sums): the tight set of x as a boolean mask, and the set
-        sums x(S) of the family, which `waterfill` takes at scale
-        eps / (1 + eps).  Raises ValueError unless x >= 0 lies in scale * P.
+        Raises ValueError unless x >= 0 lies in scale * P.
         """
         x = self._vec(x)
         sums = self.incidence @ x
-        if not self._fits(x, sums, scale, tol):
+        if not self._fits(x, sums, scale + tol, scale * self.caps + tol):
             raise ValueError("x is not in scale * P")
-        in_tight_set = (sums >= scale * self.caps - tol) @ self.incidence > 0
-        return (x >= scale - tol) | in_tight_set, sums
+        tight = self._tight(x, sums, scale - tol, scale * self.caps - tol)
+        return frozenset(np.flatnonzero(tight).tolist())
 
     def slack(self, x) -> float:
         """Minimum residual capacity, over element caps and family sets."""
@@ -164,34 +168,50 @@ class PolymatroidInstance:
     # -- water-filling ----------------------------------------------------
 
     def waterfill(self, x, eligible: Iterable[int], eps: float,
-                  tol: float = TIGHT_TOL, sums=None) -> np.ndarray:
+                  tol: float = TIGHT_TOL) -> np.ndarray:
         """Sequential maximal increase of Algorithm-style updates.
 
         Coordinates are processed in ascending index order.  For eligible i,
         y_i is the largest value with y_i <= eps * x_i and
         (1+eps)(x + y) in eps*P; other coordinates stay 0.
-
-        `sums` is the second result of tight_mask(x, eps / (1 + eps)): a
-        caller that has it passes it, and x, already checked there, is not
-        checked again.
         """
         scale = eps / (1.0 + eps)
-        if sums is None:
-            x = self._vec(x)
-            sums = self.incidence @ x
-            if not self._fits(x, sums, scale, tol):
-                raise ValueError("(1+eps) * x is not in eps * P")
-        bound = np.minimum(eps * x, scale - x).tolist()
-        return self._fill(sorted(set(eligible)), bound, sums, scale * self.caps)
+        x = self._vec(x)
+        caps = scale * self.caps
+        sums = self.incidence @ x
+        if not self._fits(x, sums, scale + tol, caps + tol):
+            raise ValueError("(1+eps) * x is not in eps * P")
+        return self._step_fill(x, sorted(set(eligible)), sums, eps, caps.tolist())
 
-    def _fill(self, order: list, bounds: list, sums, caps) -> np.ndarray:
-        """Raise each coordinate i of `order` (ascending) as far as bounds[i]
-        and the residuals caps - sums of its sets allow.
+    # -- kernels: the caller has checked x, and built the bounds ----------
+
+    def _fits(self, x, sums, x_hi, caps_hi) -> bool:
+        """x <= x_hi and x(S) = sums <= caps_hi: x is in scale * P, for
+        x_hi = scale + tol and caps_hi = scale * caps + tol."""
+        return not (x.max(initial=0.0) > x_hi
+                    or np.count_nonzero(sums > caps_hi))
+
+    def _tight(self, x, sums, x_lo, caps_lo) -> np.ndarray:
+        """The tight set of x, whose set sums are `sums`, as a boolean mask:
+        the elements at x_lo = scale - tol or in a set at its cap
+        caps_lo = scale * caps - tol."""
+        return (x >= x_lo) | (sums >= caps_lo) @ self.members
+
+    def _step_fill(self, x, order: list, sums, eps: float, caps: list) -> np.ndarray:
+        """The water-fill step from x, whose set sums are `sums`: each i of
+        `order` rises by at most min(eps * x_i, scale - x_i) within the
+        caps = scale * self.caps, for scale = eps / (1 + eps)."""
+        scale = eps / (1.0 + eps)
+        return self._fill(order, np.minimum(eps * x, scale - x).tolist(),
+                          sums.tolist(), caps)
+
+    def _fill(self, order: list, bounds: list, sums: list, caps: list) -> np.ndarray:
+        """Raise each coordinate i of `order` (ascending, no repeats) as far
+        as bounds[i] and the residuals caps - sums of its sets allow.
 
         The fill is sequential, so it runs on Python floats, which are
-        cheaper per step than numpy scalars.
+        cheaper per step than numpy scalars; `sums` is updated in place.
         """
-        sums, caps = sums.tolist(), caps.tolist()
         y = [0.0] * self.n
         for i in order:
             rows = self.rows_of[i]
@@ -201,10 +221,6 @@ class PolymatroidInstance:
                 for r in rows:
                     sums[r] += step
         return np.array(y)
-
-    def _fits(self, x, sums, scale, tol) -> bool:
-        return not (x.max(initial=0.0) > scale + tol
-                    or (sums > scale * self.caps + tol).any())
 
     # -- misc -------------------------------------------------------------
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,19 @@ class InvariantViolation(RuntimeError):
 
 class GuessExhausted(RuntimeError):
     """No guess produced a feasible solution (CLI exit code 2)."""
+
+
+def check_params(eps, guesses, max_iterations):
+    """The solver parameters' checks, shared by both configs and ladders."""
+    if not (0 < eps <= 0.05):
+        raise ValueError(f"eps must be in (0, 0.05], got {eps}")
+    for M in guesses:
+        if not (0 < M < math.inf):
+            raise ValueError(f"M must be positive and finite, got {M}")
+    if not (max_iterations is None
+            or isinstance(max_iterations, numbers.Integral)):
+        raise ValueError(
+            f"max_iterations must be an integer, got {max_iterations!r}")
 
 
 def finite_cap(numerator: float, eps: float, power: int) -> int:

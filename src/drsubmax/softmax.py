@@ -5,6 +5,10 @@ max_j z_j.  All computations are max-shifted so that small eta (large
 z/eta) never overflows.  The paper's second-order bound on the increase
 of smax is a step of its analysis, not of the solvers, so it is checked
 by the tests and not shipped here.
+
+The public `smax` and `smax_grad` check their input (shape and finite
+entries) and then run the kernels `_smax` and `_smax_grad`; the packing
+loop calls the kernels directly on the row loads it computes itself.
 """
 
 from __future__ import annotations
@@ -45,8 +49,7 @@ def smax(z, p: SoftmaxParams):
     A float for a vector z; for a (k, m) matrix, the k row values.
     """
     z = _check_z(z, p)
-    zmax = z.max(axis=-1)
-    s = zmax + p.eta * np.log(np.exp((z - zmax[..., None]) / p.eta).sum(axis=-1))
+    s = _smax(z, p)
     return float(s) if z.ndim == 1 else s
 
 
@@ -55,7 +58,16 @@ def smax_grad(z, p: SoftmaxParams) -> np.ndarray:
 
     Entries are non-negative and renormalized to sum to 1 exactly.
     """
-    z = _check_z(z, p)
+    return _smax_grad(_check_z(z, p), p)
+
+
+def _smax(z: np.ndarray, p: SoftmaxParams) -> np.ndarray:
+    """smax of each row of a checked z (a vector or a (k, m) matrix)."""
+    zmax = z.max(axis=-1)
+    return zmax + p.eta * np.log(np.exp((z - zmax[..., None]) / p.eta).sum(axis=-1))
+
+
+def _smax_grad(z: np.ndarray, p: SoftmaxParams) -> np.ndarray:
+    """smax_grad of each row of a checked z."""
     w = np.exp((z - z.max(axis=-1)[..., None]) / p.eta)
     return w / w.sum(axis=-1)[..., None]
-

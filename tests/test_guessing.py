@@ -5,6 +5,7 @@ import pytest
 
 import drsubmax.guessing
 import drsubmax.packing_solver
+import drsubmax.softmax
 from drsubmax import (ObjectiveSpec, PolymatroidInstance, SolveReport,
                       add_box_rows, build_ladder, normalize_packing,
                       solve_with_guessing)
@@ -214,8 +215,10 @@ def test_lockstep_state_runs_in_bounded_blocks(monkeypatch):
         assert got.value == pytest.approx(want.value, rel=1e-12, abs=0)
 
 
-def test_packing_loop_calls_softmax_by_module_name(monkeypatch):
-    counts = {"smax": 0, "smax_grad": 0}
+def test_packing_loop_calls_the_softmax_kernels(monkeypatch):
+    # each iteration calls the unchecked kernels; the checked smax runs at
+    # the start point and on the converged guess
+    counts = {"_smax": 0, "_smax_grad": 0, "smax": 0}
     for name in counts:
         real = getattr(drsubmax.packing_solver, name)
 
@@ -226,9 +229,54 @@ def test_packing_loop_calls_softmax_by_module_name(monkeypatch):
     obj = ObjectiveSpec.linear([1.0, 1.0])
     inst = normalize_packing([[1.0, 1.0]], 0.05)
     r = drsubmax.guessing.solve_single(obj, inst, 0.05, 0.95, monotone=True)
+    assert r.termination == CONVERGED
     assert r.inner_iterations > 0
-    assert counts["smax_grad"] == r.inner_iterations
-    assert counts["smax"] >= r.inner_iterations
+    assert counts["_smax_grad"] == r.inner_iterations
+    assert counts["_smax"] == r.inner_iterations
+    assert counts["smax"] == 2
+
+
+@pytest.mark.parametrize("obj, constraint, M, monotone", [
+    (ObjectiveSpec.coverage([1, 1, 1, 1], [[0], [1], [2], [3]]),
+     PolymatroidInstance.uniform(4, 2), 2.0, True),
+    (ObjectiveSpec.linear([1.0, 1.0]), normalize_packing([[1.0, 1.0]], 0.05),
+     1.0, True),
+    (ObjectiveSpec.directed_cut(3, [(0, 1, 1.0), (1, 2, 1.0)]),
+     normalize_packing(np.eye(3), 0.05), 3.0, False),
+], ids=["matroid", "packing", "packing-nonmonotone"])
+def test_input_checks_do_not_grow_with_the_iterations(monkeypatch, obj,
+                                                      constraint, M,
+                                                      monotone):
+    # inputs are checked at the boundary only: a solve of 1,000 iterations
+    # runs the shape, sign and finiteness checks as often as one of 10
+    counts = {}
+    for owner, name in ((ObjectiveSpec, "_check"),
+                        (PolymatroidInstance, "_vec"),
+                        (drsubmax.softmax, "_check_z")):
+        real = getattr(owner, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    seen = []
+    for cap in (10, 1000):
+        counts.clear()
+        r = drsubmax.guessing.solve_single(obj, constraint, 0.05, M,
+                                           monotone=monotone,
+                                           max_iterations=cap)
+        assert (r.termination, r.inner_iterations) == (ITERATION_CAP, cap)
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+    assert seen[0]  # the boundary checks did run
+
+
+def test_lockstep_ladder_rejects_non_finite_guesses():
+    obj, inst, _ = _packing_ladder_case("linear", 3)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            drsubmax.packing_solver.solve_packing_guesses(
+                obj, inst, 0.05, [1.0, bad], monotone=True)
 
 
 @pytest.mark.parametrize("constraint", [

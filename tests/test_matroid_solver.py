@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,6 +93,15 @@ def test_config_validation():
         MatroidSolverConfig(eps=0.5, M=1.0)
     with pytest.raises(ValueError):
         MatroidSolverConfig(eps=0.05, M=0.0)
+    # the same checks as PackingSolverConfig: the loop trusts these values
+    for M in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            MatroidSolverConfig(eps=0.05, M=M)
+    for cap in (math.inf, 2.5, "7"):
+        with pytest.raises(ValueError, match="integer"):
+            MatroidSolverConfig(eps=0.05, M=1.0, max_iterations=cap)
+    assert MatroidSolverConfig(eps=0.05, M=1.0,
+                               max_iterations=np.int64(7)).max_iterations == 7
 
 
 def test_rounds_track_iterations():
@@ -162,17 +173,21 @@ def test_random_matroid_solves_keep_their_invariants(case):
         assert r.adaptive_rounds == 1 + r.epochs + r.inner_iterations
 
 
-def test_loop_calls_oracles_through_public_methods(monkeypatch):
-    # the benchmark's tracer wraps the public methods of both classes; the
-    # loop's per-step work has to pass through them to be booked there
+def test_loop_calls_the_oracle_kernels(monkeypatch):
+    # each step calls the unchecked kernels, the public (checked) methods
+    # run only at the boundary: the initial point, the first fill and the
+    # final solution
     counts = {}
-    for cls, names in ((ObjectiveSpec, ("grad", "eval")),
-                       (PolymatroidInstance, ("tight_mask", "waterfill"))):
+    for cls, names in ((ObjectiveSpec, ("_clamped_grad", "_values",
+                                        "grad", "eval")),
+                       (PolymatroidInstance, ("_fits", "_tight", "_step_fill",
+                                              "membership", "waterfill"))):
         for name in names:
             real = getattr(cls, name)
+            counts[name] = 0
 
             def counted(*args, _name=name, _real=real, **kwargs):
-                counts[_name] = counts.get(_name, 0) + 1
+                counts[_name] += 1
                 return _real(*args, **kwargs)
             monkeypatch.setattr(cls, name, counted)
     obj = ObjectiveSpec.coverage([1, 1, 1, 1], [[0], [1], [2], [3]])
@@ -180,6 +195,12 @@ def test_loop_calls_oracles_through_public_methods(monkeypatch):
     r = solve_matroid_monotone(obj, pm, MatroidSolverConfig(eps=EPS, M=2.0))
     assert r.termination == CONVERGED
     assert r.inner_iterations > 0
-    assert counts["grad"] == r.inner_iterations
-    assert counts["eval"] == r.inner_iterations + r.epochs + 1
-    assert counts["tight_mask"] == counts["waterfill"] == r.inner_iterations
+    assert counts["_clamped_grad"] == r.inner_iterations
+    # g(x0) once per epoch, g(x) once per step, the final value by eval
+    assert counts["_values"] == r.inner_iterations + r.epochs + 1
+    assert counts["_tight"] == counts["_step_fill"] == r.inner_iterations
+    # plus the initial point's and the solution's membership tests and the
+    # first fill's check
+    assert counts["_fits"] == r.inner_iterations + 3
+    assert (counts["grad"], counts["eval"]) == (0, 1)
+    assert (counts["membership"], counts["waterfill"]) == (2, 1)

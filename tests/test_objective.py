@@ -50,6 +50,19 @@ def test_negative_weights_rejected():
         ObjectiveSpec.coverage([-1.0], [[0]])
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("make", [
+    lambda w: ObjectiveSpec.linear([w, 1.0]),
+    lambda w: ObjectiveSpec.coverage([w, 1.0], [[0], [1]]),
+    lambda w: ObjectiveSpec.directed_cut(2, [(0, 1, 1.0), (1, 0, w)]),
+], ids=["linear", "coverage", "directed-cut"])
+def test_non_finite_weights_rejected(make, bad):
+    # the solver loops trust the objective's values, so a non-finite
+    # weight has to stop at construction
+    with pytest.raises(ValueError, match="finite"):
+        make(bad)
+
+
 def test_clamping_above_one():
     obj = cover_example()
     full = obj.eval(np.ones(3))

@@ -146,8 +146,14 @@ def test_config_validation():
         PackingSolverConfig(eps=0.2, M=1.0)
     with pytest.raises(ValueError):
         PackingSolverConfig(eps=0.05, M=-1.0)
-    with pytest.raises(ValueError, match="integer"):
-        PackingSolverConfig(eps=0.05, M=1.0, max_iterations=math.inf)
+    for M in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            PackingSolverConfig(eps=0.05, M=M)
+    for cap in (math.inf, 2.5, "7"):
+        with pytest.raises(ValueError, match="integer"):
+            PackingSolverConfig(eps=0.05, M=1.0, max_iterations=cap)
+    assert PackingSolverConfig(eps=0.05, M=1.0,
+                               max_iterations=np.int64(7)).max_iterations == 7
 
 
 @pytest.mark.parametrize("cap", [

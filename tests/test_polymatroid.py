@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drsubmax.polymatroid import PolymatroidInstance
+from drsubmax.polymatroid import TIGHT_TOL, PolymatroidInstance
 
 from oracles import exchange_vector, membership_bruteforce
 
@@ -243,14 +243,18 @@ def test_mask_and_row_helpers_match_the_references(case):
     scale = eps / (1 + eps)
     if not pm.membership(x, scale):
         with pytest.raises(ValueError):
-            pm.tight_mask(x, scale)
+            pm.tight_set(x, scale)
         return
-    tight, sums = pm.tight_mask(x, scale)
-    assert (sums == pm.incidence @ x).all()
+    # the matroid loop's tight mask: the kernel on bounds built once
+    tight = pm._tight(x, pm.incidence @ x, scale - TIGHT_TOL,
+                      scale * pm.caps - TIGHT_TOL)
     assert frozenset(np.flatnonzero(tight).tolist()) == pm.tight_set(x, scale)
     assert pm.tight_set(x, scale) == tight_set_reference(pm, x, scale)
-    y = pm.waterfill(x, eligible, eps, sums=sums)
-    assert (y == pm.waterfill(x, eligible, eps)).all()  # bitwise
+    y = pm.waterfill(x, eligible, eps)
+    assert (y == waterfill_reference(pm, x, eligible, eps)).all()  # bitwise
+    # the matroid loop's later fills: the kernel on caps built once
+    y = pm._step_fill(x, sorted(set(eligible)), pm.incidence @ x, eps,
+                      (scale * pm.caps).tolist())
     assert (y == waterfill_reference(pm, x, eligible, eps)).all()
     for i in range(pm.n):  # r({i}) = 0 iff a set holding i has cap 0
         assert (pm.rank([i]) <= 0) == any(pm.caps[r] <= 0 for r in pm.rows_of[i])
