@@ -13,7 +13,7 @@ from .packing_solver import (PackingInstance, PackingSolverConfig,
                              solve_packing_monotone, solve_packing_nonmonotone)
 from .polymatroid import PolymatroidInstance
 from .report import (CONVERGED, GUESS_REJECTED, ITERATION_CAP, GuessExhausted,
-                     InvariantViolation, RoundCounter, SolveReport)
+                     InvariantViolation, SolveReport)
 from .softmax import SoftmaxParams, smax, smax_grad
 
 __version__ = "0.1.0"
@@ -27,6 +27,6 @@ __all__ = [
     "GuessLadder", "build_ladder", "solve_single", "solve_with_guessing",
     "OracleResult", "brute_force_matroid_opt", "grid_fractional_opt",
     "finite_diff_grad",
-    "SolveReport", "RoundCounter", "InvariantViolation", "GuessExhausted",
+    "SolveReport", "InvariantViolation", "GuessExhausted",
     "CONVERGED", "GUESS_REJECTED", "ITERATION_CAP",
 ]

@@ -39,6 +39,10 @@ class InstanceError(ValueError):
     """Malformed instance file; message carries the offending field path."""
 
 
+_EXIT_BY_ERROR = {InstanceError: EXIT_USAGE, FileNotFoundError: EXIT_USAGE,
+                  GuessExhausted: EXIT_GUESS, InvariantViolation: EXIT_INVARIANT}
+
+
 @dataclass
 class InstanceFile:
     objective: dict
@@ -315,18 +319,10 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _verify(args)
         return _solve_command(args)
-    except InstanceError as exc:
+    except tuple(_EXIT_BY_ERROR) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except GuessExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUESS
-    except InvariantViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+        return next(code for cls, code in _EXIT_BY_ERROR.items()
+                    if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -2,12 +2,14 @@
 
 The solvers need M with M <= f(x*) <= (1+eps)M.  The max singleton value
 m0 is an n-approximation, so the geometric ladder m0*(1+eps)^k for
-k = 0..ceil(2 ln n / eps) contains a valid guess.  All guesses run
-independently, so the combined adaptivity is one singleton batch plus the
-max over guesses.  Packing guesses run in lockstep, as one batched state
-advanced one iteration at a time (packing_solver.solve_packing_guesses);
-matroid guesses run one after another, since their water-fill is
-sequential.
+k = 0..ceil(2 ln n / eps) contains a valid guess.  Under packing
+constraints a singleton may be infeasible, so the ladder also reaches
+down to m_low, a lower bound on a feasible point's value, taken from the
+singleton values.  All guesses run independently, so the combined
+adaptivity is one singleton batch plus the max over guesses.  Packing
+guesses run in lockstep, as one batched state advanced one iteration at
+a time (packing_solver.solve_packing_guesses); matroid guesses run one
+after another, since their water-fill is sequential.
 """
 
 from __future__ import annotations
@@ -21,10 +23,9 @@ import numpy as np
 from .matroid_solver import (MatroidSolverConfig, solve_matroid_monotone,
                              solve_matroid_nonmonotone)
 from .objective import ObjectiveSpec
-from .packing_solver import (MAX_PACKING_ENTRIES, PackingInstance,
-                             PackingSolverConfig, add_box_rows,
-                             solve_packing_guesses, solve_packing_monotone,
-                             solve_packing_nonmonotone)
+from .packing_solver import (PackingInstance, PackingSolverConfig,
+                             add_box_rows, solve_packing_guesses,
+                             solve_packing_monotone, solve_packing_nonmonotone)
 from .polymatroid import PolymatroidInstance
 from .report import CONVERGED, GuessExhausted, SolveReport
 
@@ -35,7 +36,6 @@ MAX_LADDER_GUESSES = 100_000
 @dataclass
 class GuessLadder:
     m0: float
-    eps: float
     guesses: list
 
 
@@ -45,15 +45,16 @@ def build_ladder(obj: ObjectiveSpec, eps: float,
 
     m0 = max singleton value only lower-bounds the optimum when singletons
     are feasible (the matroid case).  Under packing constraints they may
-    not be, so callers can pass `m_low`, a feasible-point value, and the
-    ladder is extended downward to cover [m_low, n*m0].  A ladder of more
-    than MAX_LADDER_GUESSES guesses raises ValueError before it is built.
+    not be, so callers can pass `m_low`, a lower bound on the value of
+    some feasible point, and the ladder is extended downward to cover
+    [m_low, n*m0].  A ladder of more than MAX_LADDER_GUESSES guesses
+    raises ValueError before it is built.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     m0 = float(obj.singleton_values().max()) if obj.n else 0.0
     if m0 <= 0:
-        return GuessLadder(m0=0.0, eps=eps, guesses=[])
+        return GuessLadder(m0=0.0, guesses=[])
     up = 2.0 * math.log(max(obj.n, 2)) / eps
     down = 0.0
     if m_low is not None and 0 < m_low < m0:
@@ -65,7 +66,7 @@ def build_ladder(obj: ObjectiveSpec, eps: float,
                          f"{MAX_LADDER_GUESSES} guesses")
     k_max, k_min = math.ceil(up), -math.ceil(down)
     guesses = [m0 * (1.0 + eps) ** k for k in range(k_min, k_max + 1)]
-    return GuessLadder(m0=m0, eps=eps, guesses=guesses)
+    return GuessLadder(m0=m0, guesses=guesses)
 
 
 def solve_single(obj: ObjectiveSpec,
@@ -108,20 +109,16 @@ def solve_with_guessing(obj: ObjectiveSpec,
         monotone = obj.monotone
     m_low = None
     if isinstance(constraint, PackingInstance):
-        # best single-coordinate feasible point; singletons themselves may
-        # violate Ax <= 1, so the ladder must reach below m0.  The points
-        # are evaluated in blocks of at most MAX_PACKING_ENTRIES entries.
+        # singletons may violate Ax <= 1, so the ladder must reach below
+        # m0.  The point t_i * e_i, t_i = min(1, (1-eps) / max_j A_ji), is
+        # feasible, and F is multilinear with F(0) >= 0, so its value is
+        # at least t_i * f({i}).  Pinned and empty columns are left out.
         colmax = constraint.A.max(axis=0)
         colmax[constraint.fixed_zero] = 0.0
-        usable = np.flatnonzero(colmax > 0)
-        step = max(1, MAX_PACKING_ENTRIES // constraint.n)
-        m_low = 0.0
-        for lo in range(0, usable.size, step):
-            cols = usable[lo:lo + step]
-            points = np.zeros((cols.size, constraint.n))
-            points[np.arange(cols.size), cols] = np.minimum(
-                1.0, (1.0 - eps) / colmax[cols])
-            m_low = max(m_low, float(obj.eval_many(points).max(initial=0.0)))
+        t = np.minimum(1.0, np.divide(1.0 - eps, colmax,
+                                      out=np.zeros(constraint.n),
+                                      where=colmax > 0))
+        m_low = float((t * obj.singleton_values()).max(initial=0.0))
         if not monotone:
             constraint = add_box_rows(constraint)  # once, not once per guess
     ladder = build_ladder(obj, eps, m_low=m_low)

@@ -25,8 +25,8 @@ import numpy as np
 from .objective import ObjectiveSpec
 from .polymatroid import TIGHT_TOL, PolymatroidInstance
 from .report import (CONVERGED, GUESS_REJECTED, ITERATION_CAP,
-                     InvariantViolation, RoundCounter, SolveReport,
-                     check_params, finite_cap)
+                     InvariantViolation, SolveReport, check_params,
+                     finite_cap)
 
 ITER_BUDGET_K = 64
 
@@ -73,8 +73,9 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
     budget = iteration_budget(n, eps)  # raises when eps is too small for it
     max_inner = budget if cfg.max_iterations is None else cfg.max_iterations
 
-    rounds = RoundCounter()
-    rounds.observe(n)  # singleton batch for the gradient-scale bound
+    # adaptive rounds: the singleton batch for the gradient-scale bound,
+    # then one per epoch for g(x0) and one per step
+    rounds = 1
 
     x0 = _initial_point(pm, n, eps, D, scale)
     # the bounds of scale * P and of its tight sets, and the fill's caps
@@ -98,7 +99,7 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
 
         xt = x0.copy()
         g0 = g(x0)
-        rounds.observe(1)
+        rounds += 1
         gt = g0
         tight_prev = np.zeros(n, dtype=bool)
         v2_prev = math.inf
@@ -149,7 +150,7 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
                 raise InvariantViolation("objective decreased within an epoch")
             gt = g_new
             total_inner += 1
-            rounds.observe(n + 1)  # one gradient batch plus the value query
+            rounds += 1  # one gradient batch plus the value query
 
         z = z + xt if monotone else z + (1.0 - z) * xt
 
@@ -171,7 +172,7 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
     slack = pm.slack(z)
     return SolveReport(
         solution=z, value=value, epochs=epochs, inner_iterations=total_inner,
-        adaptive_rounds=rounds.rounds, feasible=feasible, guess_used=M,
+        adaptive_rounds=rounds, feasible=feasible, guess_used=M,
         termination=termination, slack=slack, notes=notes)
 
 

@@ -143,12 +143,12 @@ def iteration_cap_nonmonotone(n: int, m: int, eps: float) -> int:
                       * _lnm(m), eps, 2)
 
 
-def _start_point(inst: PackingInstance) -> np.ndarray:
+def _start_point(inst: PackingInstance, eps: float) -> np.ndarray:
     """eps / (n * max_j A_ji) per coordinate; 0 where the column is fixed
-    to 0 or empty."""
+    to 0 or empty.  eps is the solver's, which may differ from inst.eps."""
     colmax = inst.A.max(axis=0)
     colmax[inst.fixed_zero] = 0.0
-    return np.divide(inst.eps, inst.n * colmax, out=np.zeros(inst.n),
+    return np.divide(eps, inst.n * colmax, out=np.zeros(inst.n),
                      where=colmax > 0)
 
 
@@ -243,7 +243,7 @@ def _solve(obj, inst, eps, guesses, monotone, max_iterations,
     # the potential is t = smax(Az): z is x itself for the monotone variant
     # and the undamped companion of x for the non-monotone one
     M = np.array(guesses, dtype=float)
-    X = np.tile(_start_point(inst), (M.size, 1))
+    X = np.tile(_start_point(inst, eps), (M.size, 1))
     AZ = X @ A.T
     t = smax(AZ, p)
     s = _Live(pos=np.arange(M.size), M=M, target=target_k * M,
@@ -268,7 +268,7 @@ def _solve(obj, inst, eps, guesses, monotone, max_iterations,
             if clamp_iter[k] < iters - 1:
                 notes[k].append(
                     f"lambda clamped at its floor from iteration {clamp_iter[k]}")
-            _budget_notes(s.coord_updates[i], s.X[i], inst, eta, notes[k])
+            _budget_notes(s.coord_updates[i], s.X[i], n, eps, eta, notes[k])
         X_done, fx_done = s.X[rows], s.fx[rows]
         AX = X_done @ A.T
         ax_inf = AX.max(axis=1)
@@ -389,10 +389,10 @@ def _solve(obj, inst, eps, guesses, monotone, max_iterations,
     return reports
 
 
-def _budget_notes(coord_updates, x, inst, eta, notes):
+def _budget_notes(coord_updates, x, n, eps, eta, notes):
     """Flag coordinates whose cumulative multiplier exceeds the update budget."""
-    budget = COORD_BUDGET_K * math.log(inst.n / inst.eps) / eta
-    cap = inst.n / inst.eps
+    budget = COORD_BUDGET_K * math.log(n / eps) / eta
+    cap = n / eps
     for i in np.flatnonzero((x <= cap) & (coord_updates > budget)):
         notes.append(f"coordinate {i}: cumulative multiplier "
                      f"{coord_updates[i]:.3g} exceeds budget {budget:.3g}")

@@ -1,4 +1,4 @@
-"""Solve reports, round accounting, and shared error types."""
+"""Solve reports, solver parameter checks, and shared error types."""
 
 from __future__ import annotations
 
@@ -48,18 +48,6 @@ def finite_cap(numerator: float, eps: float, power: int) -> int:
         raise ValueError(f"eps = {eps:g} is too small: the iteration cap "
                          "is not a finite number")
     return int(math.ceil(cap))
-
-
-@dataclass
-class RoundCounter:
-    """Counts synchronized oracle batches (the adaptivity measure)."""
-
-    rounds: int = 0
-    queries_per_round: list = field(default_factory=list)
-
-    def observe(self, queries: int = 1):
-        self.rounds += 1
-        self.queries_per_round.append(int(queries))
 
 
 @dataclass

@@ -4,7 +4,9 @@ from pathlib import Path
 import pytest
 
 import drsubmax
+import drsubmax.cli
 from drsubmax.cli import (InstanceError, emit_instance, main, parse_instance)
+from drsubmax.report import GuessExhausted, InvariantViolation
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "linear_packing.json"
 
@@ -94,6 +96,24 @@ def test_eps_out_of_range_rejected(capsys):
 def test_oversized_guess_maps_to_exit_2(capsys):
     code = main(["solve-packing", str(FIXTURE), "--guess", "95"])
     assert code == 2
+
+
+def test_missing_instance_file_maps_to_exit_1(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["solve-packing", str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "missing.json" in err
+
+
+@pytest.mark.parametrize("error, code", [(GuessExhausted, 2),
+                                         (InvariantViolation, 3)])
+def test_solver_errors_map_to_their_exit_codes(monkeypatch, capsys, error,
+                                               code):
+    def fail(*args, **kwargs):
+        raise error("the solver failed")
+    monkeypatch.setattr(drsubmax.cli, "solve_with_guessing", fail)
+    assert main(["solve-packing", str(FIXTURE)]) == code
+    assert capsys.readouterr().err == "error: the solver failed\n"
 
 
 def test_wrong_constraint_type_rejected(capsys):

@@ -287,3 +287,63 @@ def test_zero_max_iterations_is_a_cap_not_the_default(constraint):
                                        monotone=True, max_iterations=0)
     assert r.termination == ITERATION_CAP
     assert r.inner_iterations == 0
+
+
+def _stub_packing_guesses(monkeypatch):
+    """Replace the lockstep solve by one converged report per guess; the
+    list it returns collects the guesses of each call."""
+    calls = []
+
+    def solve(obj, constraint, eps, guesses, **kwargs):
+        calls.append(list(guesses))
+        return [SolveReport(solution=np.zeros(obj.n), value=0.0, epochs=1,
+                            inner_iterations=1, adaptive_rounds=2,
+                            feasible=True, guess_used=M, termination=CONVERGED)
+                for M in guesses]
+    monkeypatch.setattr(drsubmax.guessing, "solve_packing_guesses", solve)
+    return calls
+
+
+def test_packing_ladder_starts_at_m0_when_a_singleton_is_feasible():
+    # element 1 covers every item and x = e_1 is feasible, so the lower
+    # end is m0 itself and no guess lies below it
+    obj = ObjectiveSpec.coverage(
+        [1.2659009621094757, 0.3695931039298933, 0.8990223231940234,
+         1.053434639731769], [[0, 3], [0, 1, 2, 3]])
+    inst = normalize_packing([[2.802483825678371, 0.0],
+                              [0.0, 0.6244233843612701]], 0.05)
+    r = solve_with_guessing(obj, inst, 0.05, max_iterations=10)
+    ladder = build_ladder(obj, 0.05)
+    assert [M for M, _, _ in r.guess_trace] == ladder.guesses
+    assert ladder.guesses[0] == ladder.m0
+
+
+@pytest.mark.parametrize("kind", ["linear", "coverage", "cut"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_packing_lower_end_is_a_feasible_point_value(monkeypatch, kind, seed):
+    # m_low = max_i t_i f({i}) is the value of the feasible point t_i e_i
+    obj, inst, monotone = _packing_ladder_case(kind, seed)
+    lows, real = [], drsubmax.guessing.build_ladder
+    monkeypatch.setattr(drsubmax.guessing, "build_ladder",
+                        lambda obj, eps, m_low=None:
+                        lows.append(m_low) or real(obj, eps, m_low=m_low))
+    _stub_packing_guesses(monkeypatch)
+    solve_with_guessing(obj, inst, 0.05, monotone=monotone)
+    colmax = inst.A.max(axis=0)
+    colmax[inst.fixed_zero] = 0.0
+    values = [obj.eval(min(1.0, 0.95 / colmax[i]) * np.eye(obj.n)[i])
+              for i in range(obj.n) if colmax[i] > 0]
+    assert lows == [pytest.approx(max(values), rel=1e-12, abs=0)]
+
+
+def test_packing_ladder_setup_evaluates_no_points(monkeypatch):
+    # the lower end comes from the singleton values: no point batch is
+    # evaluated before the guesses run
+    obj, inst, _ = _packing_ladder_case("coverage", 1)
+    batches, real = [], ObjectiveSpec.eval_many
+    monkeypatch.setattr(ObjectiveSpec, "eval_many",
+                        lambda self, X: batches.append(len(X)) or real(self, X))
+    calls = _stub_packing_guesses(monkeypatch)
+    solve_with_guessing(obj, inst, 0.05)
+    assert len(calls) == 1 and len(calls[0]) > 1
+    assert batches == []

@@ -63,9 +63,20 @@ def test_start_point_skips_fixed_and_empty_columns():
         for i in range(3):  # the per-coordinate rule
             if i not in inst.fixed_zero and colmax[i] > 0:
                 want[i] = EPS / (3 * colmax[i])
-        assert (_start_point(inst) == want).all()
+        assert (_start_point(inst, EPS) == want).all()
         assert want[1] == 0.0 and want[0] > 0.0 and want[2] > 0.0
         assert (inst.A.max(axis=0) == colmax).all()  # A is left as it was
+
+
+def test_start_point_uses_the_solvers_eps():
+    # the instance was normalized at 0.05; the solve runs at 0.03
+    A = np.array([[0.5, 0.8, 0.0], [0.25, 0.1, 0.7]])
+    inst = normalize_packing(A, 0.05)
+    iterates = []
+    cfg = PackingSolverConfig(eps=0.03, M=1.0, max_iterations=1,
+                              iterate_hook=iterates.append)
+    solve_packing_monotone(ObjectiveSpec.linear([1.0, 1.0, 1.0]), inst, cfg)
+    assert (iterates[0] == 0.03 / (3 * A.max(axis=0))).all()
 
 
 def test_linear_single_row_example():
