@@ -20,6 +20,7 @@ SUBSET_ENUM = "subset-enum"
 GRID = "grid"
 
 _GRID_CHUNK = 200_000
+MAX_SUBSET_ENUM_N, MAX_GRID_N = 20, 4  # largest n of each exhaustive oracle
 
 
 @dataclass
@@ -39,8 +40,8 @@ def brute_force_matroid_opt(obj: ObjectiveSpec,
     for fractional solver output too.
     """
     n = pm.n
-    if n > 20:
-        raise ValueError("subset enumeration supports n <= 20")
+    if n > MAX_SUBSET_ENUM_N:
+        raise ValueError(f"subset enumeration supports n <= {MAX_SUBSET_ENUM_N}")
     best_val = -np.inf
     best_set = None
     for mask in range(1 << n):
@@ -65,8 +66,8 @@ def grid_fractional_opt(obj: ObjectiveSpec, inst: PackingInstance,
     Lipschitz bound on how far the grid max can sit below the true one.
     """
     n = inst.n
-    if n > 4:
-        raise ValueError("grid search supports n <= 4")
+    if n > MAX_GRID_N:
+        raise ValueError(f"grid search supports n <= {MAX_GRID_N}")
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     if obj.kind == SAMPLED:

@@ -15,7 +15,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .bruteforce import brute_force_matroid_opt, grid_fractional_opt
+from .bruteforce import (MAX_GRID_N, MAX_SUBSET_ENUM_N, brute_force_matroid_opt,
+                         grid_fractional_opt)
 from .guessing import solve_single, solve_with_guessing
 from .objective import COVERAGE, DIRECTED_CUT, LINEAR, ObjectiveSpec
 from .packing_solver import (MAX_PACKING_ENTRIES, PackingInstance,
@@ -253,6 +254,12 @@ def _solve(args):
         if not isinstance(constraint, cls):
             raise InstanceError(f"constraint.type: {args.command} needs a "
                                 f"{name} constraint")
+    # verify's exhaustive oracle has a size limit: checked before the solve
+    limit = (MAX_GRID_N if isinstance(constraint, PackingInstance)
+             else MAX_SUBSET_ENUM_N)
+    if args.command == "verify" and constraint.n > limit:
+        raise InstanceError(f"constraint.n: verify's oracle supports "
+                            f"n <= {limit}, got {constraint.n}")
     monotone = _resolve_monotone(args.monotone, obj)
     try:
         # the size limits that depend on eps and on the solver variant (the
@@ -282,7 +289,7 @@ def _verify(args) -> int:
         oracle = grid_fractional_opt(obj, constraint, resolution=1e-2)
     else:
         oracle = brute_force_matroid_opt(obj, constraint)
-    ratio = report.value / oracle.value if oracle.value > 0 else float("inf")
+    ratio = report.value / oracle.value if oracle.value > 0 else None
     out = {"schema": 1, "value": report.value, "opt": oracle.value,
            "ratio": ratio, "oracle_method": oracle.method,
            "feasible": report.feasible, "guess_used": report.guess_used}

@@ -11,7 +11,8 @@ Inputs are checked once, by the config, the constructors, the public
 membership test of the initial point and the public water-fill of the
 first step; the loop then calls the unchecked oracle kernels on the state
 it builds.  Each step computes the family's set sums once, for its
-(eps/(1+eps))*P check, its tight mask and its fill.
+(eps/(1+eps))*P check, its tight mask and its fill, and takes the largest
+gradient entry off the tight set as one masked max.
 """
 
 from __future__ import annotations
@@ -94,7 +95,9 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
             g = lambda v: float(obj._values((v + z)[None])[0])
             threshold = eps * ((1.0 - 10.0 * eps) * M)
         else:
-            g = lambda v: float(obj._values(((1.0 - z) * v + z)[None])[0])
+            damp = 1.0 - z  # fixed for the epoch
+            damp_eps = damp * (1.0 + eps)
+            g = lambda v: float(obj._values((damp * v + z)[None])[0])
             threshold = eps * (((1.0 - eps / (1.0 + eps)) ** j - 10.0 * eps) * M)
 
         xt = x0.copy()
@@ -112,21 +115,17 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
             if monotone:
                 c = obj._clamped_grad((1.0 + eps) * xt + z)
             else:
-                c = (1.0 - z) * obj._clamped_grad((1.0 - z) * (1.0 + eps) * xt + z)
+                c = damp * obj._clamped_grad(damp_eps * xt + z)
             # one x(S) per step, shared by the check, the mask and the fill
             sums = pm.incidence @ xt
             if not pm._fits(xt, sums, x_hi, caps_hi):
                 raise ValueError("x is not in scale * P")
             tight = pm._tight(xt, sums, x_lo, caps_lo)
-            free = ~tight
-            if np.count_nonzero(tight_prev & free):
+            if np.count_nonzero(tight_prev > tight):
                 raise InvariantViolation("tight set lost coordinates")
             tight_prev = tight
-            outside = c[free]
-            if not outside.size:
-                rejected = True
-                break
-            v1 = outside.max()
+            # -inf when every coordinate is tight
+            v1 = c.max(where=~tight, initial=-math.inf)
             if v1 <= 0:
                 rejected = True
                 break

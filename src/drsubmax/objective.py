@@ -168,7 +168,8 @@ class ObjectiveSpec:
         if self.kind == COVERAGE:
             if not self.elems.size:
                 return np.zeros(X.shape[0])
-            miss = np.multiply.reduceat(1.0 - X[:, self.elems], self.starts, axis=1)
+            miss = np.multiply.reduceat(1.0 - X.take(self.elems, axis=1),
+                                        self.starts, axis=1)
             return (1.0 - miss) @ self.weights
         if self.kind == DIRECTED_CUT:
             return (X[:, self.tail] * (1.0 - X[:, self.head])) @ self.weights

@@ -19,10 +19,7 @@ import numpy as np
 from .objective import ObjectiveSpec
 from .report import (CONVERGED, GUESS_REJECTED, ITERATION_CAP,
                      InvariantViolation, SolveReport, check_params, finite_cap)
-from .softmax import SoftmaxParams, _smax, _smax_grad, smax
-# unused here: bench/run.py wraps this name, and as the loop calls
-# `_smax_grad`, that wrapper counts no calls
-from .softmax import smax_grad  # noqa: F401
+from .softmax import SoftmaxParams, _smax_dist, smax, smax_grad
 
 ITER_CAP_K = 64
 COORD_BUDGET_K = 16
@@ -197,9 +194,10 @@ class _Live(SimpleNamespace):
     """The guesses still running, one row per array, all of the same length.
 
     pos: where each guess stands in `guesses`; M: the guess; target: the
-    value that ends it as converged; tol: the slack of its gain-rate
-    invariant; c_floor: gradient entries at most this get no update;
-    X, Z, AZ, t, fx: x, z, A z, smax(A z) and F(x); exp_t, exp_neg_t:
+    value that ends it as converged; lam_floor: the floor of the monotone
+    lambda; tol: the slack of its gain-rate invariant; c_floor: gradient
+    entries at most this get no update; X, Z, AZ, t, P, fx: x, z, A z,
+    smax(A z), smax_grad(A z) and F(x); exp_t, exp_neg_t:
     exp(t) and exp(-t), for the non-monotone rules; coord_updates: the
     multipliers summed per coordinate.  A plain namespace: generating a
     dataclass of these fields costs about a millisecond at import.
@@ -218,9 +216,9 @@ def _solve(obj, inst, eps, guesses, monotone, max_iterations,
     so all running guesses share the iteration count.  A guess that stops
     leaves the state with the report its own solve gives.
 
-    The start point goes through the checked `eval_many` and `smax`, as
-    does a converged guess through `smax`; each iteration calls the
-    unchecked kernels on the finite, non-negative state built from there.
+    The start point goes through the checked `eval_many`, `smax` and
+    `smax_grad`, a converged guess through `smax`; each iteration calls the
+    unchecked kernels (one softmax) on the state built from there.
     """
     if obj.n != inst.n:
         raise ValueError("objective and constraint dimensions differ")
@@ -237,6 +235,7 @@ def _solve(obj, inst, eps, guesses, monotone, max_iterations,
         target_k = 1.0 - math.exp(-1.0 + 10.0 * eps)  # value target / M
     else:
         cap = iteration_cap_nonmonotone(n, m, eps)
+        floor_k = 0.0  # the non-monotone lambda is never clamped
         target_k = math.exp(-1.0 - 10.0 * eps)
     max_iters = cap if max_iterations is None else max_iterations
 
@@ -247,8 +246,9 @@ def _solve(obj, inst, eps, guesses, monotone, max_iterations,
     AZ = X @ A.T
     t = smax(AZ, p)
     s = _Live(pos=np.arange(M.size), M=M, target=target_k * M,
-              tol=1e-9 * np.maximum(M, 1.0), c_floor=1e-15 * M[:, None],
-              X=X, Z=X, AZ=AZ, t=t, exp_t=np.exp(t), exp_neg_t=np.exp(-t),
+              lam_floor=floor_k * M, tol=1e-9 * np.maximum(M, 1.0),
+              c_floor=1e-15 * M[:, None], X=X, Z=X, AZ=AZ, t=t,
+              P=smax_grad(AZ, p), exp_t=np.exp(t), exp_neg_t=np.exp(-t),
               fx=obj.eval_many(X), coord_updates=np.zeros(X.shape))
     if iterate_hook is not None:
         iterate_hook(X[0].copy())
@@ -305,10 +305,9 @@ def _solve(obj, inst, eps, guesses, monotone, max_iterations,
                 lam = s.M
             else:
                 lam = s.M - (1.0 + eta) * s.fx
-                lam_floor = s.M * floor_k
-                clamped = lam < lam_floor
+                clamped = lam < s.lam_floor
                 if np.count_nonzero(clamped):
-                    lam = np.where(clamped, lam_floor, lam)
+                    lam = np.where(clamped, s.lam_floor, lam)
                     k = s.pos[clamped]
                     clamp_iter[k] = np.minimum(clamp_iter[k], iters)
             c = obj._clamped_grad((1.0 + eta) * s.X)
@@ -324,10 +323,12 @@ def _solve(obj, inst, eps, guesses, monotone, max_iterations,
                     break
             c = np.maximum((1.0 - s.X) * obj._clamped_grad((1.0 + eta) * s.X),
                            0.0)
-        score = _smax_grad(s.AZ, p) @ A
+        score = s.P @ A
         live = c > s.c_floor
-        mvec = np.where(live, np.maximum(
-            1.0 - lam[:, None] * score / np.where(live, c, 1.0), 0.0), 0.0)
+        # (lam * score) / c where live; 1 - inf clamps to 0 elsewhere
+        mvec = np.maximum(1.0 - np.divide(lam[:, None] * score, c,
+                                          out=np.full(c.shape, np.inf),
+                                          where=live), 0.0)
         d = eta * s.X * mvec
         stuck = d.sum(axis=1) <= 0.0
         if np.count_nonzero(stuck):
@@ -343,7 +344,7 @@ def _solve(obj, inst, eps, guesses, monotone, max_iterations,
             Z_new = s.Z + d
         fx_new = obj._values(X_new)
         AZ_new = Z_new @ A.T
-        t_new = _smax(AZ_new, p)
+        t_new, P_new = _smax_dist(AZ_new, p)
         dt = t_new - s.t
         short = (t_new > s.t + 1e-12) & (fx_new - s.fx < lam * dt - s.tol)
         if np.count_nonzero(short):
@@ -374,7 +375,7 @@ def _solve(obj, inst, eps, guesses, monotone, max_iterations,
                             f"short by {gain_rhs[i] - gain_lhs[i]:.3g}")
             s.exp_t, s.exp_neg_t = exp_t_new, exp_neg_t_new
         s.coord_updates += mvec
-        s.X, s.Z, s.AZ, s.t, s.fx = X_new, Z_new, AZ_new, t_new, fx_new
+        s.X, s.Z, s.AZ, s.t, s.P, s.fx = X_new, Z_new, AZ_new, t_new, P_new, fx_new
         if iterate_hook is not None:
             iterate_hook(X_new[0].copy())
         iters += 1

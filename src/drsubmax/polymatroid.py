@@ -199,13 +199,15 @@ class PolymatroidInstance:
 
     def _step_fill(self, x, order: list, sums, eps: float, caps: list) -> np.ndarray:
         """The water-fill step from x, whose set sums are `sums`: each i of
-        `order` rises by at most min(eps * x_i, scale - x_i) within the
-        caps = scale * self.caps, for scale = eps / (1 + eps)."""
+        `order` rises by at most min(eps * x_i, scale - x_i), computed for
+        `order` only, within caps = scale * self.caps, scale = eps/(1+eps)."""
         scale = eps / (1.0 + eps)
-        return self._fill(order, np.minimum(eps * x, scale - x).tolist(),
-                          sums.tolist(), caps)
+        x = x.tolist()
+        bounds = {i: min(eps * x[i], scale - x[i]) for i in order}
+        return self._fill(order, bounds, sums.tolist(), caps)
 
-    def _fill(self, order: list, bounds: list, sums: list, caps: list) -> np.ndarray:
+    def _fill(self, order: list, bounds: list | dict, sums: list,
+              caps: list) -> np.ndarray:
         """Raise each coordinate i of `order` (ascending, no repeats) as far
         as bounds[i] and the residuals caps - sums of its sets allow.
 

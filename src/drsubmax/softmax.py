@@ -7,8 +7,8 @@ of smax is a step of its analysis, not of the solvers, so it is checked
 by the tests and not shipped here.
 
 The public `smax` and `smax_grad` check their input (shape and finite
-entries) and then run the kernels `_smax` and `_smax_grad`; the packing
-loop calls the kernels directly on the row loads it computes itself.
+entries) and then run the one kernel `_smax_dist`, which returns both from
+the same exponentials; the packing loop calls it once per iteration.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def smax(z, p: SoftmaxParams):
     A float for a vector z; for a (k, m) matrix, the k row values.
     """
     z = _check_z(z, p)
-    s = _smax(z, p)
+    s = _smax_dist(z, p)[0]
     return float(s) if z.ndim == 1 else s
 
 
@@ -58,16 +58,13 @@ def smax_grad(z, p: SoftmaxParams) -> np.ndarray:
 
     Entries are non-negative and renormalized to sum to 1 exactly.
     """
-    return _smax_grad(_check_z(z, p), p)
+    return _smax_dist(_check_z(z, p), p)[1]
 
 
-def _smax(z: np.ndarray, p: SoftmaxParams) -> np.ndarray:
-    """smax of each row of a checked z (a vector or a (k, m) matrix)."""
+def _smax_dist(z: np.ndarray, p: SoftmaxParams):
+    """(smax, smax_grad) of each row of a checked z (a vector or a (k, m)
+    matrix), from one exponential of the max-shifted rows."""
     zmax = z.max(axis=-1)
-    return zmax + p.eta * np.log(np.exp((z - zmax[..., None]) / p.eta).sum(axis=-1))
-
-
-def _smax_grad(z: np.ndarray, p: SoftmaxParams) -> np.ndarray:
-    """smax_grad of each row of a checked z."""
-    w = np.exp((z - z.max(axis=-1)[..., None]) / p.eta)
-    return w / w.sum(axis=-1)[..., None]
+    w = np.exp((z - zmax[..., None]) / p.eta)
+    total = w.sum(axis=-1)
+    return zmax + p.eta * np.log(total), w / total[..., None]

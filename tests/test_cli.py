@@ -161,6 +161,57 @@ def test_verify_honours_guess(capsys):
     assert json.loads(capsys.readouterr().out)["guess_used"] == 95.0
 
 
+def _packing_row(weights):
+    """A linear objective on one packing row over len(weights) columns."""
+    n = len(weights)
+    return {"objective": {"kind": "linear", "weights": weights},
+            "constraint": {"type": "packing", "m": 1, "n": n,
+                           "triplets": [[0, j, 1.0] for j in range(n)]},
+            "eps": 0.05}
+
+
+def _coverage_uniform(weights, n, k):
+    """Coverage of item 0 by every element, on the uniform matroid (n, k)."""
+    return {"objective": {"kind": "coverage", "weights": weights,
+                          "covers": [[0]] * n},
+            "constraint": {"type": "polymatroid", "kind": "uniform",
+                           "n": n, "k": k},
+            "eps": 0.05}
+
+
+@pytest.mark.parametrize("inst, match", [
+    (_packing_row([1.0] * 5), "n <= 4, got 5"),
+    (_coverage_uniform([1.0], 21, 2), "n <= 20, got 21"),
+], ids=["grid-n5", "subset-enum-n21"])
+def test_verify_rejects_instances_too_large_for_its_oracle(
+        monkeypatch, tmp_path, capsys, inst, match):
+    def never(*args, **kwargs):
+        pytest.fail("verify solved an instance its oracle cannot check")
+    monkeypatch.setattr(drsubmax.cli, "solve_with_guessing", never)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst))
+    assert main(["verify", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: constraint.n:") and match in err
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("inst", [_packing_row([0.0, 0.0]),
+                                  _coverage_uniform([0.0], 2, 1)],
+                         ids=["linear-packing", "coverage-matroid"])
+def test_verify_ratio_is_null_when_opt_is_zero(tmp_path, capsys, inst):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst))
+    assert main(["verify", str(path)]) == 0
+    rep = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert rep["opt"] == 0.0
+    assert rep["ratio"] is None
+
+
 def _set(path, value):
     """The fixture's text with the field at `path` set to `value`."""
     def mutate(data):

@@ -58,6 +58,27 @@ def test_oversized_guess_rejected_with_feasible_partial():
     assert pm.membership(r.solution, 1.0)
 
 
+@pytest.mark.parametrize("obj, solve, tight", [
+    # every coordinate reaches its cap eps/(1+eps): none is left to raise
+    (ObjectiveSpec.linear([1.0, 1.0]), solve_matroid_monotone, {0, 1}),
+    # coordinate 0 reaches its cap; the free coordinate 1 is the head of
+    # the arc, whose gradient -x_0 is negative
+    (ObjectiveSpec.directed_cut(2, [(0, 1, 1.0)]), solve_matroid_nonmonotone,
+     {0}),
+], ids=["all-tight", "free-gradient-not-positive"])
+def test_epoch_without_improvable_coordinate_rejects_the_guess(obj, solve,
+                                                               tight):
+    # M = 100 is far above the optimum, so the gain target is out of reach
+    pm = PolymatroidInstance.uniform(2, 2)
+    r = solve(obj, pm, MatroidSolverConfig(eps=EPS, M=100.0))
+    assert r.termination == GUESS_REJECTED
+    assert r.notes == ["epoch 0: no improvable coordinate before the gain target"]
+    assert r.inner_iterations > 0
+    assert r.feasible and pm.membership(r.solution, 1.0)
+    # the first epoch's point is the solution: its tight set names the branch
+    assert pm.tight_set(r.solution, EPS / (1 + EPS)) == frozenset(tight)
+
+
 def test_nonmonotone_cycle_example():
     obj = ObjectiveSpec.directed_cut(
         4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drsubmax.softmax import SoftmaxParams, smax, smax_grad
+from drsubmax.softmax import SoftmaxParams, _smax_dist, smax, smax_grad
 
 from oracles import increment_bound
 
@@ -56,6 +56,25 @@ def test_rows_match_vector_calls(m, k, eta, seed):
     for z, s_row, g_row in zip(Z, s, g):
         assert smax(z, p) == s_row
         assert (smax_grad(z, p) == g_row).all()
+
+
+@given(st.integers(1, 8), st.integers(0, 6), st.floats(1e-4, 1.0),
+       st.floats(1e-3, 1e3), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_fused_kernel_is_bitwise_the_two_formulas(m, k, eta, spread, seed):
+    # the potential and the distribution from one exponential equal, bit
+    # for bit, the separate smax and smax_grad formulas the kernel replaced
+    shape = (k, m) if k else (m,)
+    z = np.random.default_rng(seed).uniform(-spread, spread, size=shape)
+    p = SoftmaxParams(eta=eta, m=m)
+    zmax = z.max(axis=-1)
+    s_ref = zmax + eta * np.log(np.exp((z - zmax[..., None]) / eta).sum(axis=-1))
+    w = np.exp((z - z.max(axis=-1)[..., None]) / eta)
+    g_ref = w / w.sum(axis=-1)[..., None]
+    s, g = _smax_dist(z, p)
+    assert np.shape(s) == np.shape(s_ref) and g.shape == g_ref.shape
+    assert np.asarray(s).tobytes() == np.asarray(s_ref).tobytes()
+    assert g.tobytes() == g_ref.tobytes()
 
 
 def test_grad_matches_finite_differences():
