@@ -77,9 +77,10 @@ def grid_fractional_opt(obj: ObjectiveSpec, inst: PackingInstance,
     rhs = 1.0 - inst.eps
     best_val = -np.inf
     best_x = None
-    # slice the grid along the first axis so memory stays bounded at n = 4
-    if n == 1:
-        slabs = [axis[:, None]]
+    # slice the grid along the first axis so memory stays bounded at n = 4;
+    # at n = 0 the grid is the one empty point
+    if n <= 1:
+        slabs = [axis[:, None] if n else np.zeros((1, 0))]
     else:
         tail = np.meshgrid(*([axis] * (n - 1)), indexing="ij")
         tail = np.stack([g.ravel() for g in tail], axis=1)

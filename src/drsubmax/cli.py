@@ -111,6 +111,27 @@ def _require_count(section: dict, key: str, path: str) -> int:
     return value
 
 
+def _boolean_path(value) -> Optional[str]:
+    """The path of the first JSON boolean in a parsed value, such as
+    `.k` or `[2][0]` ("" for a boolean itself), or None when it has none.
+
+    Python counts True as the integer 1, so the per-field number and index
+    checks would let a boolean through; this one walk finds it first.
+    """
+    if isinstance(value, dict):
+        items, step = value.items(), ".{}"
+    elif isinstance(value, list):
+        items, step = enumerate(value), "[{}]"
+    else:
+        return "" if isinstance(value, bool) else None
+    for key, item in items:
+        if item is True or item is False or isinstance(item, (dict, list)):
+            path = _boolean_path(item)
+            if path is not None:
+                return step.format(key) + path
+    return None
+
+
 def parse_instance(text: Union[str, bytes]) -> InstanceFile:
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -123,6 +144,10 @@ def parse_instance(text: Union[str, bytes]) -> InstanceFile:
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(data, dict):
         raise InstanceError("top level: expected a JSON object")
+    path = _boolean_path(data)
+    if path is not None:
+        raise InstanceError(f"{path[1:]}: JSON booleans are not accepted "
+                            "in an instance")
     for key in ("objective", "constraint", "eps"):
         if key not in data:
             raise InstanceError(f"{key}: missing required field")

@@ -12,7 +12,20 @@ membership test of the initial point and the public water-fill of the
 first step; the loop then calls the unchecked oracle kernels on the state
 it builds.  Each step computes the family's set sums once, for its
 (eps/(1+eps))*P check, its tight mask and its fill, and takes the largest
-gradient entry off the tight set as one masked max.
+gradient entry off the tight set as one masked max.  The fill returns the
+few coordinates that rose and their steps, which are added to x in place.
+
+The loop calls the clamp-free interior oracle kernels (objective.py), as
+every point it evaluates lies in [0, 1)^n.  x stays at most x_hi =
+eps/(1+eps) + TIGHT_TOL: the initial point is checked into
+(eps/(1+eps))*P, and the fill raises x_i by at most eps/(1+eps) - x_i.
+Gradients are taken at (1+eps)*x + z or (1-z)(1+eps)*x + z, values at
+the smaller x + z or (1-z)*x + z, so, rounding being monotone, all lie
+below (1+eps)*x_hi + max z or (1-z)(1+eps)*x_hi + z computed in the same
+floating-point operations.  Each epoch checks once that this bound is
+below 1 (by the epoch recurrences it is about (1+eps^2)/(1+eps) at most
+for monotone runs, and eps + (1-eps)*z below the damping bound for
+non-monotone ones) and raises InvariantViolation if it is not.
 """
 
 from __future__ import annotations
@@ -26,8 +39,8 @@ import numpy as np
 from .objective import ObjectiveSpec
 from .polymatroid import TIGHT_TOL, PolymatroidInstance
 from .report import (CONVERGED, GUESS_REJECTED, ITERATION_CAP,
-                     InvariantViolation, SolveReport, check_params,
-                     finite_cap)
+                     InvariantViolation, SolveReport, check_dimensions,
+                     check_params, finite_cap)
 
 ITER_BUDGET_K = 64
 
@@ -61,8 +74,7 @@ def solve_matroid_nonmonotone(obj: ObjectiveSpec, pm: PolymatroidInstance,
 
 def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
     n = pm.n
-    if obj.n != n:
-        raise ValueError("objective and constraint dimensions differ")
+    check_dimensions(obj.n, n)
     epochs = math.ceil(1.0 / cfg.eps)
     eps = 1.0 / epochs  # effective eps so that (1 - eps)^epochs <= 1/e
     scale = eps / (1.0 + eps)
@@ -92,13 +104,19 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
 
     for j in range(epochs):
         if monotone:
-            g = lambda v: float(obj._values((v + z)[None])[0])
+            g = lambda v: float(obj._interior_values((v + z)[None])[0])
             threshold = eps * ((1.0 - 10.0 * eps) * M)
+            top = (1.0 + eps) * x_hi + float(z.max(initial=0.0))
         else:
             damp = 1.0 - z  # fixed for the epoch
             damp_eps = damp * (1.0 + eps)
-            g = lambda v: float(obj._values((damp * v + z)[None])[0])
+            g = lambda v: float(obj._interior_values((damp * v + z)[None])[0])
             threshold = eps * (((1.0 - eps / (1.0 + eps)) ** j - 10.0 * eps) * M)
+            top = float((damp_eps * x_hi + z).max(initial=0.0))
+        # a bound on every coordinate of the points the epoch evaluates
+        if not top < 1.0:
+            raise InvariantViolation(
+                f"epoch {j}: evaluation points may reach {top} >= 1")
 
         xt = x0.copy()
         g0 = g(x0)
@@ -113,9 +131,9 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
                 termination = ITERATION_CAP
                 break
             if monotone:
-                c = obj._clamped_grad((1.0 + eps) * xt + z)
+                c = obj._interior_grad((1.0 + eps) * xt + z)
             else:
-                c = damp * obj._clamped_grad(damp_eps * xt + z)
+                c = damp * obj._interior_grad(damp_eps * xt + z)
             # one x(S) per step, shared by the check, the mask and the fill
             sums = pm.incidence @ xt
             if not pm._fits(xt, sums, x_hi, caps_hi):
@@ -138,12 +156,16 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
             # later ones start from the state the fills built
             if total_inner == 0:
                 y = pm.waterfill(xt, eligible, eps)
+                raised = y.nonzero()[0].tolist()
+                steps = y[raised].tolist()
             else:
-                y = pm._step_fill(xt, eligible, sums, eps, fill_caps)
-            if not np.count_nonzero(y):  # y >= 0: no coordinate rose
+                raised, steps = pm._step_fill(xt, eligible, sums, eps,
+                                              fill_caps)
+            if not raised:
                 rejected = True
                 break
-            xt = xt + y
+            for i, step in zip(raised, steps):
+                xt[i] += step
             g_new = g(xt)
             if g_new < gt - 1e-9 * M:
                 raise InvariantViolation("objective decreased within an epoch")

@@ -9,11 +9,15 @@ formula over all universe items or arcs.
 Values are extended beyond [0,1]^n by clamping at 1 (f(x) = f(x ^ 1)); the
 gradient of a clamped coordinate is 0.
 
-Validation happens at the boundary: the constructors reject negative or
-non-finite weights, and the public oracles reject points of the wrong
-shape or with negative entries.  Each public oracle is that check followed
-by a private kernel (`_values`, `_clamped_grad`), which the
-solver loops call directly on the points they build themselves.
+Each oracle has three layers: the public method (`eval`, `eval_many`,
+`grad`, `grad_many`) checks the point; the clamped kernel (`_values`,
+`_clamped_grad`) clamps it at 1, and coverage's gradient also handles a
+zero complement there; the interior kernel (`_interior_values`,
+`_interior_grad`) is the formula alone, valid on [0, 1)^n.  Below 1 all
+three give the same bits.  The constructors have already rejected
+negative or non-finite weights.  The packing loop calls the clamped
+kernels; the matroid loop, whose points provably lie in [0, 1)^n, calls
+the interior ones.
 """
 
 from __future__ import annotations
@@ -162,7 +166,10 @@ class ObjectiveSpec:
 
     def _values(self, X: np.ndarray) -> np.ndarray:
         """F at each row of a checked (k, n) matrix X, clamped at 1."""
-        X = np.minimum(X, 1.0)
+        return self._interior_values(np.minimum(X, 1.0))
+
+    def _interior_values(self, X: np.ndarray) -> np.ndarray:
+        """F at each row of a (k, n) matrix X in [0, 1]^n."""
         if self.kind == LINEAR:
             return X @ self.weights
         if self.kind == COVERAGE:
@@ -177,24 +184,16 @@ class ObjectiveSpec:
                                   for r in self._sample_matrix(x)]) for x in X])
 
     def _grad(self, x: np.ndarray) -> np.ndarray:
-        """Gradient of F at x in [0, 1]^n."""
+        """Gradient of F at x in [0, 1)^n."""
         if self.kind == LINEAR:
             return self.weights.copy()
         if self.kind == COVERAGE:
             # dF/dx_i sums, over the items i covers, the item weight times
-            # the product of the other coverers' complements.  Zero
-            # complements are left out of the product and counted instead:
-            # a term is 0 when another coverer of its item has one.  With
-            # no zero complement that bookkeeping changes no bit: skip it.
+            # the product of the other coverers' complements, none of
+            # which is 0 below 1
             comp = 1.0 - x[self.elems]
-            zero = comp == 0.0
-            if not np.count_nonzero(zero):
-                part = (self.weights * np.multiply.reduceat(comp, self.starts))
-                return _scatter(self.elems, part[self.item] / comp, self.n)
-            safe = comp + zero
-            part = (self.weights * np.multiply.reduceat(safe, self.starts))[self.item]
-            alone = np.bincount(self.item, zero, self.weights.size)[self.item] == zero
-            return _scatter(self.elems, part / safe * alone, self.n)
+            part = self.weights * np.multiply.reduceat(comp, self.starts)
+            return _scatter(self.elems, part[self.item] / comp, self.n)
         if self.kind == DIRECTED_CUT:
             w = self.weights
             return (_scatter(self.tail, w * (1.0 - x[self.head]), self.n)
@@ -208,20 +207,42 @@ class ObjectiveSpec:
                 g[i] += self.set_fn(base | {i}) - self.set_fn(base - {i})
         return g / self.samples
 
-    def _clamped_grad(self, X: np.ndarray) -> np.ndarray:
-        """Gradient at X clamped at 1, with 0 where X is above 1; X is a
-        checked vector or (k, n) matrix.
+    def _coverage_grad_at_ones(self, x: np.ndarray) -> np.ndarray:
+        """Coverage gradient at x in [0, 1]^n, where a complement may be 0.
+
+        Zero complements are left out of the product and counted instead:
+        a term is 0 when another coverer of its item has one.  With no
+        zero complement this gives the bits of `_grad`.
+        """
+        comp = 1.0 - x[self.elems]
+        zero = comp == 0.0
+        safe = comp + zero
+        part = (self.weights * np.multiply.reduceat(safe, self.starts))[self.item]
+        alone = np.bincount(self.item, zero, self.weights.size)[self.item] == zero
+        return _scatter(self.elems, part / safe * alone, self.n)
+
+    def _interior_grad(self, X: np.ndarray) -> np.ndarray:
+        """Gradient at X, a vector or (k, n) matrix in [0, 1)^n.
 
         A closed form takes the gradient of k disjoint copies of itself at
         the rows laid end to end, so row i is the gradient at X[i] exactly.
         """
-        clamped = np.minimum(X, 1.0)
         if X.ndim == 1:
-            g = self._grad(clamped)
-        elif self.kind == SAMPLED:
-            g = np.array([self._grad(x) for x in clamped]).reshape(X.shape)
+            return self._grad(X)
+        if self.kind == SAMPLED:
+            return np.array([self._grad(x) for x in X]).reshape(X.shape)
+        return self._copies(X.shape[0])._grad(X.ravel()).reshape(X.shape)
+
+    def _clamped_grad(self, X: np.ndarray) -> np.ndarray:
+        """Gradient at X clamped at 1, with 0 where X is above 1; X is a
+        checked vector or (k, n) matrix."""
+        clamped = np.minimum(X, 1.0)
+        if self.kind == COVERAGE and np.count_nonzero(clamped == 1.0):
+            k = 1 if X.ndim == 1 else X.shape[0]
+            g = self._copies(k)._coverage_grad_at_ones(
+                clamped.ravel()).reshape(X.shape)
         else:
-            g = self._copies(X.shape[0])._grad(clamped.ravel()).reshape(X.shape)
+            g = self._interior_grad(clamped)
         g[X > 1.0] = 0.0
         return g
 

@@ -18,7 +18,8 @@ import numpy as np
 
 from .objective import ObjectiveSpec
 from .report import (CONVERGED, GUESS_REJECTED, ITERATION_CAP,
-                     InvariantViolation, SolveReport, check_params, finite_cap)
+                     InvariantViolation, SolveReport, check_dimensions,
+                     check_params, finite_cap)
 from .softmax import SoftmaxParams, _smax_dist, smax, smax_grad
 
 ITER_CAP_K = 64
@@ -68,6 +69,8 @@ def normalize_packing(A, eps: float) -> PackingInstance:
     if not (0 < eps <= 0.05):
         raise ValueError(f"eps must be in (0, 0.05], got {eps}")
     m, n = A.shape
+    if n == 0:
+        return PackingInstance(A=A, eps=eps)  # no entry to bring into range
     zero_cols = np.flatnonzero(~A.any(axis=0))
     if zero_cols.size:
         first = ", ".join(map(str, zero_cols[:5].tolist()))
@@ -220,8 +223,7 @@ def _solve(obj, inst, eps, guesses, monotone, max_iterations,
     `smax_grad`, a converged guess through `smax`; each iteration calls the
     unchecked kernels (one softmax) on the state built from there.
     """
-    if obj.n != inst.n:
-        raise ValueError("objective and constraint dimensions differ")
+    check_dimensions(obj.n, inst.n)
     A = inst.A
     m, n = inst.m, inst.n
     if monotone and not figure1_lambda:

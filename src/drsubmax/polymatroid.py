@@ -13,7 +13,10 @@ and each public method checks its point (shape, sign and, where it
 matters, membership in scale * P) and then runs a private kernel
 (`_fits`, `_tight`, `_step_fill`).  The matroid solver's step calls those
 kernels directly, with the bounds scale * caps -/+ tol computed once per
-solve; only its first fill goes through the checked `waterfill`.
+solve; only its first fill goes through the checked `waterfill`.  The
+fill kernels return the step sparsely, as the coordinates that rose and
+their steps: the matroid step adds them to x in place, and `waterfill`
+and `rank` build their dense results from them.
 """
 
 from __future__ import annotations
@@ -128,8 +131,9 @@ class PolymatroidInstance:
         S = frozenset(S)
         if any(not (0 <= i < self.n) for i in S):
             raise ValueError("element index out of range")
-        return float(self._fill(sorted(S), [1.0] * self.n,
-                                [0.0] * self.caps.size, self.caps.tolist()).sum())
+        return float(self._dense(*self._fill(
+            sorted(S), [1.0] * self.n, [0.0] * self.caps.size,
+            self.caps.tolist())).sum())
 
     # -- membership and tight sets ---------------------------------------
 
@@ -181,7 +185,8 @@ class PolymatroidInstance:
         sums = self.incidence @ x
         if not self._fits(x, sums, scale + tol, caps + tol):
             raise ValueError("(1+eps) * x is not in eps * P")
-        return self._step_fill(x, sorted(set(eligible)), sums, eps, caps.tolist())
+        return self._dense(*self._step_fill(x, sorted(set(eligible)), sums,
+                                            eps, caps.tolist()))
 
     # -- kernels: the caller has checked x, and built the bounds ----------
 
@@ -197,32 +202,45 @@ class PolymatroidInstance:
         caps_lo = scale * caps - tol."""
         return (x >= x_lo) | (sums >= caps_lo) @ self.members
 
-    def _step_fill(self, x, order: list, sums, eps: float, caps: list) -> np.ndarray:
+    def _step_fill(self, x, order: list, sums, eps: float, caps: list) -> tuple:
         """The water-fill step from x, whose set sums are `sums`: each i of
         `order` rises by at most min(eps * x_i, scale - x_i), computed for
-        `order` only, within caps = scale * self.caps, scale = eps/(1+eps)."""
+        `order` only, within caps = scale * self.caps, scale = eps/(1+eps).
+
+        Returns the sparse step of `_fill`.
+        """
         scale = eps / (1.0 + eps)
         x = x.tolist()
         bounds = {i: min(eps * x[i], scale - x[i]) for i in order}
         return self._fill(order, bounds, sums.tolist(), caps)
 
     def _fill(self, order: list, bounds: list | dict, sums: list,
-              caps: list) -> np.ndarray:
+              caps: list) -> tuple:
         """Raise each coordinate i of `order` (ascending, no repeats) as far
         as bounds[i] and the residuals caps - sums of its sets allow.
 
-        The fill is sequential, so it runs on Python floats, which are
-        cheaper per step than numpy scalars; `sums` is updated in place.
+        Returns (raised, steps): the coordinates that rose, ascending, and
+        their positive steps, as lists; a step raises few coordinates, so
+        the caller adds them where they are.  The fill is sequential, so it
+        runs on Python floats, which are cheaper per step than numpy
+        scalars; `sums` is updated in place.
         """
-        y = [0.0] * self.n
+        raised, steps = [], []
         for i in order:
             rows = self.rows_of[i]
             step = min([bounds[i]] + [caps[r] - sums[r] for r in rows])
             if step > 0:
-                y[i] = step
+                raised.append(i)
+                steps.append(step)
                 for r in rows:
                     sums[r] += step
-        return np.array(y)
+        return raised, steps
+
+    def _dense(self, raised: list, steps: list) -> np.ndarray:
+        """The length-n vector with `steps` at `raised` and 0 elsewhere."""
+        y = np.zeros(self.n)
+        y[raised] = steps
+        return y
 
     # -- misc -------------------------------------------------------------
 

@@ -36,6 +36,16 @@ def check_params(eps, guesses, max_iterations):
             f"max_iterations must be an integer, got {max_iterations!r}")
 
 
+def check_dimensions(obj_n: int, n: int):
+    """The solvers' shape checks: the objective and the constraint have the
+    same dimension n, and there is an element to solve for."""
+    if obj_n != n:
+        raise ValueError("objective and constraint dimensions differ")
+    if n == 0:
+        raise ValueError("constraint.n: a solve at one guess needs n >= 1, "
+                         "got 0 (the guessing ladder reports the zero solution)")
+
+
 def finite_cap(numerator: float, eps: float, power: int) -> int:
     """An iteration cap, numerator / eps**power rounded up.
 

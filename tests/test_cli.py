@@ -292,3 +292,79 @@ def test_tiny_eps_rejected_up_front(capsys, flags, match):
     assert main(["solve-packing", str(FIXTURE)] + flags) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and match in err
+
+
+def _uniform_matroid(objective, n, k):
+    return {"objective": objective,
+            "constraint": {"type": "polymatroid", "kind": "uniform",
+                           "n": n, "k": k},
+            "eps": 0.05}
+
+
+@pytest.mark.parametrize("inst, path", [
+    (_uniform_matroid({"kind": "linear", "weights": [1.0, 2.0]}, 2, True),
+     "constraint.k"),
+    (_uniform_matroid({"kind": "directed-cut", "n": 2,
+                       "arcs": [[False, True, 1.0]]}, 2, 1),
+     "objective.arcs[0][0]"),
+    (_uniform_matroid({"kind": "directed-cut", "n": 2,
+                       "arcs": [[0, 1, True]]}, 2, 1),
+     "objective.arcs[0][2]"),
+    (_uniform_matroid({"kind": "linear", "weights": [True, False]}, 2, 1),
+     "objective.weights[0]"),
+    (_uniform_matroid({"kind": "coverage", "weights": [1.0],
+                       "covers": [[True]]}, 1, 1),
+     "objective.covers[0][0]"),
+    ({**_packing_row([1.0]), "constraint": {
+        "type": "packing", "m": 1, "n": 1, "triplets": [[0, 0, True]]}},
+     "constraint.triplets[0][2]"),
+    ({**_packing_row([1.0]), "eps": True}, "eps"),
+], ids=["k", "arc-ends", "arc-weight", "weights", "covers", "triplet-value",
+        "eps"])
+def test_json_booleans_rejected_with_their_field(tmp_path, capsys, inst, path):
+    # Python counts true as 1: each of these solved with exit 0
+    file = tmp_path / "inst.json"
+    file.write_text(json.dumps(inst))
+    command = ("solve-packing" if inst["constraint"]["type"] == "packing"
+               else "solve-matroid")
+    assert main([command, str(file)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}: JSON booleans are not accepted in an instance\n"
+
+
+_EMPTY_PACKING = {"objective": {"kind": "linear", "weights": []},
+                  "constraint": {"type": "packing", "m": 1, "n": 0,
+                                 "triplets": []},
+                  "eps": 0.05}
+_EMPTY_CUT_PACKING = {"objective": {"kind": "directed-cut", "n": 0, "arcs": []},
+                      "constraint": {"type": "packing", "m": 0, "n": 0,
+                                     "triplets": []},
+                      "eps": 0.05}
+_EMPTY_MATROID = _uniform_matroid({"kind": "coverage", "weights": [1.0],
+                                   "covers": []}, 0, 1)
+
+
+@pytest.mark.parametrize("inst, command", [
+    (_EMPTY_PACKING, "solve-packing"),
+    (_EMPTY_CUT_PACKING, "solve-packing"),
+    (_EMPTY_MATROID, "solve-matroid"),
+], ids=["linear-packing", "cut-packing", "coverage-matroid"])
+def test_empty_ground_set(tmp_path, capsys, inst, command):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst))
+    # the ladder reports the zero solution
+    assert main([command, str(path)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["solution"], rep["value"], rep["termination"]) == (
+        [], 0.0, "converged")
+    assert rep["notes"] == ["all singleton values are zero"]
+    assert main(["verify", str(path)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["value"], rep["opt"], rep["ratio"]) == (0.0, 0.0, None)
+    # one guess has nothing to solve
+    for cmd in (command, "verify"):
+        assert main([cmd, str(path), "--guess", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: constraint.n: ") and "n >= 1" in err

@@ -8,7 +8,7 @@ import drsubmax.packing_solver
 import drsubmax.softmax
 from drsubmax import (ObjectiveSpec, PolymatroidInstance, SolveReport,
                       add_box_rows, build_ladder, normalize_packing,
-                      solve_with_guessing)
+                      solve_single, solve_with_guessing)
 from drsubmax.report import CONVERGED, GUESS_REJECTED, ITERATION_CAP
 
 
@@ -45,6 +45,27 @@ def test_zero_objective_returns_zero_solution():
     np.testing.assert_allclose(r.solution, 0.0)
     assert r.adaptive_rounds == 1
     assert r.termination == CONVERGED
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_empty_ground_set(m):
+    # n = 0: the ladder reports the zero solution for both constraint
+    # kinds; a single guess has nothing to solve and says so
+    empty = np.zeros(0)
+    packing = normalize_packing(np.zeros((m, 0)), 0.05)
+    assert (packing.m, packing.n, packing.transcript) == (m, 0, [])
+    cases = [(ObjectiveSpec.linear([]), packing, True),
+             (ObjectiveSpec.directed_cut(0, []), packing, False),
+             (ObjectiveSpec.coverage([1.0], []), PolymatroidInstance.uniform(0, 1),
+              True),
+             (ObjectiveSpec.directed_cut(0, []),
+              PolymatroidInstance.partition(0, [], []), False)]
+    for obj, constraint, monotone in cases:
+        r = solve_with_guessing(obj, constraint, 0.05, monotone=monotone)
+        assert (r.solution == empty).all() and r.solution.shape == (0,)
+        assert (r.value, r.termination, r.feasible) == (0.0, CONVERGED, True)
+        with pytest.raises(ValueError, match=r"constraint.n: .* needs n >= 1"):
+            solve_single(obj, constraint, 0.05, 1.0, monotone=monotone)
 
 
 def test_guessing_matroid_end_to_end():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from drsubmax import (MatroidSolverConfig, ObjectiveSpec, PolymatroidInstance,
                       brute_force_matroid_opt, solve_matroid_monotone,
                       solve_matroid_nonmonotone)
-from drsubmax.report import CONVERGED, GUESS_REJECTED
+from drsubmax import matroid_solver
+from drsubmax.report import CONVERGED, GUESS_REJECTED, InvariantViolation
 
 EPS = 0.05
 # expected bound at eps=0.05: each epoch targets eps*((1-10*eps)*M - current),
@@ -195,14 +197,16 @@ def test_random_matroid_solves_keep_their_invariants(case):
 
 
 def test_loop_calls_the_oracle_kernels(monkeypatch):
-    # each step calls the unchecked kernels, the public (checked) methods
-    # run only at the boundary: the initial point, the first fill and the
-    # final solution
+    # each step calls the interior (clamp-free) kernels and the sparse
+    # fill; the clamped and public (checked) methods run only at the
+    # boundary: the initial point, the first fill and the final solution
     counts = {}
-    for cls, names in ((ObjectiveSpec, ("_clamped_grad", "_values",
+    for cls, names in ((ObjectiveSpec, ("_interior_grad", "_interior_values",
+                                        "_clamped_grad", "_values",
                                         "grad", "eval")),
                        (PolymatroidInstance, ("_fits", "_tight", "_step_fill",
-                                              "membership", "waterfill"))):
+                                              "_dense", "membership",
+                                              "waterfill"))):
         for name in names:
             real = getattr(cls, name)
             counts[name] = 0
@@ -216,12 +220,95 @@ def test_loop_calls_the_oracle_kernels(monkeypatch):
     r = solve_matroid_monotone(obj, pm, MatroidSolverConfig(eps=EPS, M=2.0))
     assert r.termination == CONVERGED
     assert r.inner_iterations > 0
-    assert counts["_clamped_grad"] == r.inner_iterations
+    assert counts["_interior_grad"] == r.inner_iterations
+    assert counts["_clamped_grad"] == 0
     # g(x0) once per epoch, g(x) once per step, the final value by eval
-    assert counts["_values"] == r.inner_iterations + r.epochs + 1
+    # (which clamps, then runs the interior kernel)
+    assert counts["_interior_values"] == r.inner_iterations + r.epochs + 1
+    assert counts["_values"] == 1
     assert counts["_tight"] == counts["_step_fill"] == r.inner_iterations
+    # the fill stays sparse; only the first, checked fill is made dense
+    assert counts["_dense"] == 1
     # plus the initial point's and the solution's membership tests and the
     # first fill's check
     assert counts["_fits"] == r.inner_iterations + 3
     assert (counts["grad"], counts["eval"]) == (0, 1)
     assert (counts["membership"], counts["waterfill"]) == (2, 1)
+
+
+def test_sparse_fill_adds_the_dense_step(monkeypatch):
+    # the loop adds each fill's steps at the raised coordinates only; the
+    # next step starts from the bits of x + y, y the dense fill, or from
+    # the initial point when a new epoch begins
+    real, calls = PolymatroidInstance._step_fill, []
+
+    def recording(self, x, *args):
+        raised, steps = real(self, x, *args)
+        calls.append((x.copy(), self._dense(raised, steps), len(raised)))
+        return raised, steps
+    monkeypatch.setattr(PolymatroidInstance, "_step_fill", recording)
+    # equal weights: every coordinate is eligible, so several rise per step
+    obj = ObjectiveSpec.linear([1.0, 1.0, 1.0, 1.0])
+    pm = PolymatroidInstance.uniform(4, 2)
+    r = solve_matroid_monotone(obj, pm, MatroidSolverConfig(eps=EPS, M=2.0))
+    assert r.inner_iterations == len(calls)
+    assert max(k for _, _, k in calls) > 1
+    x0 = calls[0][0]
+    for (x, y, _), (x_next, _, _) in zip(calls, calls[1:]):
+        assert (x_next == x + y).all() or (x_next == x0).all()
+
+
+class _ClampedKernels:
+    """An objective whose interior kernels are its clamped ones, as the
+    matroid loop sees it; every other attribute is the objective's own."""
+
+    def __init__(self, obj):
+        self.obj = obj
+
+    def __getattr__(self, name):
+        return getattr(self.obj, name)
+
+    def _interior_grad(self, X):
+        return self.obj._clamped_grad(X)
+
+    def _interior_values(self, X):
+        return self.obj._values(X)
+
+
+def _report_bytes(r):
+    return (json.dumps(r.to_dict(), sort_keys=True).encode()
+            + r.solution.tobytes())
+
+
+@given(matroid_cases())
+@settings(max_examples=30, deadline=None)
+def test_interior_kernels_solve_as_the_clamped_ones(case):
+    # the loop's points lie in [0, 1)^n, where the clamp changes nothing:
+    # the same solve on the clamped kernels gives the same bytes
+    obj, pm = case
+    M = max(brute_force_matroid_opt(obj, pm).value, 1e-9)
+    solve = solve_matroid_monotone if obj.monotone else solve_matroid_nonmonotone
+    cfg = MatroidSolverConfig(eps=EPS, M=M)
+    assert (_report_bytes(solve(obj, pm, cfg))
+            == _report_bytes(solve(_ClampedKernels(obj), pm, cfg)))
+
+
+@pytest.mark.parametrize("obj, solve", [
+    (ObjectiveSpec.coverage([1, 1], [[0], [1]]), solve_matroid_monotone),
+    (ObjectiveSpec.directed_cut(2, [(0, 1, 1.0)]), solve_matroid_nonmonotone),
+], ids=["monotone", "non-monotone"])
+def test_epoch_domain_bound_past_one_raises(obj, solve, monkeypatch):
+    # a tolerance this wide lets x reach 1 / (1 + eps): the epoch's bound
+    # on its evaluation points is then at least 1, before anything runs
+    monkeypatch.setattr(matroid_solver, "TIGHT_TOL", 1.0 / (1.0 + EPS))
+    pm = PolymatroidInstance.uniform(2, 1)
+    with pytest.raises(InvariantViolation, match="epoch 0: evaluation points"):
+        solve(obj, pm, MatroidSolverConfig(eps=EPS, M=1.0))
+
+
+def test_single_guess_needs_a_nonempty_ground_set():
+    pm = PolymatroidInstance.uniform(0, 1)
+    obj = ObjectiveSpec.linear([])
+    for solve in (solve_matroid_monotone, solve_matroid_nonmonotone):
+        with pytest.raises(ValueError, match="constraint.n: .* needs n >= 1"):
+            solve(obj, pm, MatroidSolverConfig(eps=EPS, M=1.0))

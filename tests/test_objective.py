@@ -187,6 +187,43 @@ def test_coverage_grad_without_zero_complements(which, data):
     assert (obj.grad(x) == coverage_grad_reference(obj, x)).all()
 
 
+@st.composite
+def closed_form_points(draw):
+    """(objective, x): a random linear, coverage or directed-cut objective
+    on n <= 6 elements and a point of [0, 1)^n."""
+    n = draw(st.integers(1, 6))
+    weight = st.floats(0.0, 3.0)
+    kind = draw(st.sampled_from(["linear", "coverage", "directed-cut"]))
+    if kind == "linear":
+        obj = ObjectiveSpec.linear(draw(st.lists(weight, min_size=n,
+                                                 max_size=n)))
+    elif kind == "coverage":
+        u = draw(st.integers(1, 5))
+        obj = ObjectiveSpec.coverage(
+            draw(st.lists(weight, min_size=u, max_size=u)),
+            draw(st.lists(st.lists(st.integers(0, u - 1), max_size=3),
+                          min_size=n, max_size=n)))
+    else:
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)), max_size=2 * n))
+        obj = ObjectiveSpec.directed_cut(
+            n, [(u, v, draw(weight)) for u, v in pairs if u != v])
+    below_one = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True))
+    return obj, np.array(draw(st.lists(below_one, min_size=n, max_size=n)))
+
+
+@given(closed_form_points())
+@settings(max_examples=300, deadline=None)
+def test_interior_kernels_are_the_clamped_ones_below_one(case):
+    # on [0, 1)^n the clamp is the identity and no coverage complement is
+    # 0, so the clamp-free kernels the matroid loop calls give the bytes
+    # of the clamped ones the public oracles run
+    obj, x = case
+    assert obj._interior_grad(x).tobytes() == obj._clamped_grad(x).tobytes()
+    assert (obj._interior_values(x[None]).tobytes()
+            == obj._values(x[None]).tobytes())
+
+
 def test_batch_oracles_check_their_input():
     obj = cover_example()
     for bad in (np.zeros(3), np.zeros((2, 4)), np.full((2, 3), -0.5)):

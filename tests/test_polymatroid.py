@@ -252,10 +252,12 @@ def test_mask_and_row_helpers_match_the_references(case):
     assert pm.tight_set(x, scale) == tight_set_reference(pm, x, scale)
     y = pm.waterfill(x, eligible, eps)
     assert (y == waterfill_reference(pm, x, eligible, eps)).all()  # bitwise
-    # the matroid loop's later fills: the kernel on caps built once
-    y = pm._step_fill(x, sorted(set(eligible)), pm.incidence @ x, eps,
-                      (scale * pm.caps).tolist())
-    assert (y == waterfill_reference(pm, x, eligible, eps)).all()
+    # the matroid loop's later fills: the kernel on caps built once, whose
+    # sparse step lists exactly the coordinates that rose
+    raised, steps = pm._step_fill(x, sorted(set(eligible)), pm.incidence @ x,
+                                  eps, (scale * pm.caps).tolist())
+    assert raised == np.flatnonzero(y).tolist()
+    assert (np.array(steps, dtype=float) == y[raised]).all()
     for i in range(pm.n):  # r({i}) = 0 iff a set holding i has cap 0
         assert (pm.rank([i]) <= 0) == any(pm.caps[r] <= 0 for r in pm.rows_of[i])
 
