@@ -2,9 +2,8 @@
 constraints."""
 
 from .bruteforce import (OracleResult, brute_force_matroid_opt,
-                         finite_diff_grad, grid_fractional_opt)
-from .guessing import (GuessLadder, build_ladder, solve_single,
-                       solve_with_guessing)
+                         grid_fractional_opt)
+from .guessing import build_ladder, solve_single, solve_with_guessing
 from .matroid_solver import (MatroidSolverConfig, solve_matroid_monotone,
                              solve_matroid_nonmonotone)
 from .objective import ObjectiveSpec
@@ -14,19 +13,18 @@ from .packing_solver import (PackingInstance, PackingSolverConfig,
 from .polymatroid import PolymatroidInstance
 from .report import (CONVERGED, GUESS_REJECTED, ITERATION_CAP, GuessExhausted,
                      InvariantViolation, SolveReport)
-from .softmax import SoftmaxParams, smax, smax_grad
+from .softmax import smax, smax_grad
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ObjectiveSpec", "PolymatroidInstance",
-    "SoftmaxParams", "smax", "smax_grad",
+    "smax", "smax_grad",
     "MatroidSolverConfig", "solve_matroid_monotone", "solve_matroid_nonmonotone",
     "PackingInstance", "PackingSolverConfig", "normalize_packing",
     "add_box_rows", "solve_packing_monotone", "solve_packing_nonmonotone",
-    "GuessLadder", "build_ladder", "solve_single", "solve_with_guessing",
+    "build_ladder", "solve_single", "solve_with_guessing",
     "OracleResult", "brute_force_matroid_opt", "grid_fractional_opt",
-    "finite_diff_grad",
     "SolveReport", "InvariantViolation", "GuessExhausted",
     "CONVERGED", "GUESS_REJECTED", "ITERATION_CAP",
 ]

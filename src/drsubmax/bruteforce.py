@@ -1,4 +1,4 @@
-"""Desk-scale ground-truth oracles: exhaustive, grid, and finite-difference.
+"""Desk-scale ground-truth oracles: subset enumeration and a grid search.
 
 Independent of the solvers by construction — these never call the solver
 modules and evaluate objectives through their exact set-function values or
@@ -8,7 +8,6 @@ closed forms only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -28,7 +27,6 @@ class OracleResult:
     value: float
     argmax: object  # frozenset (subset-enum) or np.ndarray (grid)
     method: str
-    error_bound: float = 0.0
 
 
 def brute_force_matroid_opt(obj: ObjectiveSpec,
@@ -60,11 +58,7 @@ def brute_force_matroid_opt(obj: ObjectiveSpec,
 
 def grid_fractional_opt(obj: ObjectiveSpec, inst: PackingInstance,
                         resolution: float) -> OracleResult:
-    """Exhaustive grid over [0,1]^n restricted to Ax <= (1-eps)1.
-
-    The reported error_bound is n * resolution * max gradient scale, a
-    Lipschitz bound on how far the grid max can sit below the true one.
-    """
+    """Exhaustive grid over [0,1]^n restricted to Ax <= (1-eps)1."""
     n = inst.n
     if n > MAX_GRID_N:
         raise ValueError(f"grid search supports n <= {MAX_GRID_N}")
@@ -104,23 +98,5 @@ def grid_fractional_opt(obj: ObjectiveSpec, inst: PackingInstance,
     if best_x is None:
         best_x = np.zeros(n)
         best_val = float(obj.eval(best_x))
-    grad_scale = float(np.abs(finite_diff_grad(obj, np.full(n, 0.5), 1e-4)).max()) \
-        if n else 0.0
-    return OracleResult(value=best_val, argmax=best_x, method=GRID,
-                        error_bound=n * resolution * grad_scale)
-
-
-def finite_diff_grad(obj: ObjectiveSpec, x, h: float = 1e-5) -> np.ndarray:
-    """Central differences (F(x + h e_i) - F(x - h e_i)) / (2h)."""
-    x = np.asarray(x, dtype=float)
-    if h <= 0:
-        raise ValueError("h must be positive")
-    if np.any(x < h) or np.any(x > 1.0 - h):
-        raise ValueError("x must lie in (h, 1-h)^n for central differences")
-    g = np.zeros(x.size)
-    for i in range(x.size):
-        up = x.copy(); up[i] += h
-        dn = x.copy(); dn[i] -= h
-        g[i] = (obj.eval(up) - obj.eval(dn)) / (2.0 * h)
-    return g
+    return OracleResult(value=best_val, argmax=best_x, method=GRID)
 

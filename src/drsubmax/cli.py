@@ -163,6 +163,11 @@ def parse_instance(text: Union[str, bytes]) -> InstanceFile:
     seed = data.get("seed", 0)
     if not _is_int(seed):
         raise InstanceError(f"seed: expected an integer, got {seed!r}")
+    known_opt = data.get("known_opt")
+    if "known_opt" in data and not (isinstance(known_opt, (int, float))
+                                    and known_opt >= 0):
+        raise InstanceError(f"known_opt: expected a non-negative finite "
+                            f"number, got {known_opt!r}")
     if obj["kind"] == DIRECTED_CUT:
         _require_count(obj, "n", "objective")
     if con["type"] in ("packing", "polymatroid"):
@@ -210,7 +215,7 @@ def parse_instance(text: Union[str, bytes]) -> InstanceFile:
                 f"incidence entries, above the limit of "
                 f"{MAX_POLYMATROID_ENTRIES}")
     inst = InstanceFile(objective=obj, constraint=con, eps=float(eps),
-                        seed=seed, known_opt=data.get("known_opt"))
+                        seed=seed, known_opt=known_opt)
     # surface structural problems (negative weights, non-laminar family,
     # self-loops, mismatched dimensions) at parse time, not at solve time
     obj_n = inst.build_objective().n

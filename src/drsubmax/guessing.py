@@ -15,7 +15,6 @@ after another, since their water-fill is sequential.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -33,28 +32,24 @@ from .report import CONVERGED, GuessExhausted, SolveReport
 MAX_LADDER_GUESSES = 100_000
 
 
-@dataclass
-class GuessLadder:
-    m0: float
-    guesses: list
-
-
 def build_ladder(obj: ObjectiveSpec, eps: float,
-                 m_low: Optional[float] = None) -> GuessLadder:
-    """Geometric guesses spanning [m0, n*m0]; empty for the zero objective.
+                 m_low: Optional[float] = None) -> list:
+    """The guesses m0 * (1+eps)^k for k = 0..ceil(2 ln n / eps), where m0
+    is the max singleton value; empty for the zero objective.
 
-    m0 = max singleton value only lower-bounds the optimum when singletons
-    are feasible (the matroid case).  Under packing constraints they may
-    not be, so callers can pass `m_low`, a lower bound on the value of
-    some feasible point, and the ladder is extended downward to cover
-    [m_low, n*m0].  A ladder of more than MAX_LADDER_GUESSES guesses
-    raises ValueError before it is built.
+    The top guess is at least n^(2 ln(1+eps)/eps) * m0, about n^1.95 * m0
+    at eps = 0.05, above the n * m0 that bounds the optimum.  m0 only
+    lower-bounds the optimum when singletons are feasible (the matroid
+    case).  Under packing constraints they may not be, so callers can pass
+    `m_low`, a lower bound on the value of some feasible point, and k then
+    starts at -ceil(ln(m0 / m_low) / ln(1+eps)).  A ladder of more than
+    MAX_LADDER_GUESSES guesses raises ValueError before it is built.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     m0 = float(obj.singleton_values().max()) if obj.n else 0.0
     if m0 <= 0:
-        return GuessLadder(m0=0.0, guesses=[])
+        return []
     up = 2.0 * math.log(max(obj.n, 2)) / eps
     down = 0.0
     if m_low is not None and 0 < m_low < m0:
@@ -65,8 +60,7 @@ def build_ladder(obj: ObjectiveSpec, eps: float,
         raise ValueError(f"eps = {eps:g} asks for a ladder of more than "
                          f"{MAX_LADDER_GUESSES} guesses")
     k_max, k_min = math.ceil(up), -math.ceil(down)
-    guesses = [m0 * (1.0 + eps) ** k for k in range(k_min, k_max + 1)]
-    return GuessLadder(m0=m0, guesses=guesses)
+    return [m0 * (1.0 + eps) ** k for k in range(k_min, k_max + 1)]
 
 
 def solve_single(obj: ObjectiveSpec,
@@ -121,8 +115,8 @@ def solve_with_guessing(obj: ObjectiveSpec,
         m_low = float((t * obj.singleton_values()).max(initial=0.0))
         if not monotone:
             constraint = add_box_rows(constraint)  # once, not once per guess
-    ladder = build_ladder(obj, eps, m_low=m_low)
-    if not ladder.guesses:
+    guesses = build_ladder(obj, eps, m_low=m_low)
+    if not guesses:
         zero = np.zeros(obj.n)
         return SolveReport(solution=zero, value=obj.eval(zero), epochs=0,
                            inner_iterations=0, adaptive_rounds=1,
@@ -134,14 +128,14 @@ def solve_with_guessing(obj: ObjectiveSpec,
     max_rounds = 0
     trace = []
     if isinstance(constraint, PackingInstance):
-        reports = solve_packing_guesses(obj, constraint, eps, ladder.guesses,
+        reports = solve_packing_guesses(obj, constraint, eps, guesses,
                                         monotone=monotone,
                                         max_iterations=max_iterations)
     else:
         reports = [solve_single(obj, constraint, eps, M, monotone=monotone,
                                 max_iterations=max_iterations)
-                   for M in ladder.guesses]
-    for M, report in zip(ladder.guesses, reports):
+                   for M in guesses]
+    for M, report in zip(guesses, reports):
         max_rounds = max(max_rounds, report.adaptive_rounds)
         trace.append((M, report.termination, report.value))
         if not report.feasible:

@@ -20,7 +20,7 @@ from .objective import ObjectiveSpec
 from .report import (CONVERGED, GUESS_REJECTED, ITERATION_CAP,
                      InvariantViolation, SolveReport, check_dimensions,
                      check_params, finite_cap)
-from .softmax import SoftmaxParams, _smax_dist, smax, smax_grad
+from .softmax import _smax_dist, smax, smax_grad
 
 ITER_CAP_K = 64
 COORD_BUDGET_K = 16
@@ -34,15 +34,13 @@ class PackingInstance:
     """Normalized packing constraints Ax <= 1.
 
     `A` is dense (desk scale); sparse triplets are the interchange format
-    only.  `fixed_zero` lists coordinates pinned to 0 by preprocessing;
-    `transcript` records every modification made by normalize_packing.
+    only.  `fixed_zero` lists coordinates pinned to 0 by preprocessing.
     """
 
     A: np.ndarray
     eps: float
     includes_box: bool = False
     fixed_zero: list = field(default_factory=list)
-    transcript: list = field(default_factory=list)
 
     @property
     def m(self) -> int:
@@ -77,23 +75,11 @@ def normalize_packing(A, eps: float) -> PackingInstance:
         raise ValueError(
             f"{zero_cols.size} all-zero column(s), first {first}: "
             "coordinate is unbounded")
-    lo, hi = eps / n, n / eps
-    transcript = []
-    fixed_zero = []
-    for j in range(n):
-        col = A[:, j]
-        if col.max() > hi:
-            fixed_zero.append(j)
-            transcript.append(f"column {j}: entry {col.max():.6g} > {hi:.6g}, "
-                              "coordinate fixed to 0")
-            A[:, j] = 0.0
-            continue
-        small = (col > 0) & (col < lo)
-        for i in np.flatnonzero(small):
-            transcript.append(f"entry ({i},{j}): {col[i]:.6g} raised to {lo:.6g}")
-        A[small, j] = lo
-    return PackingInstance(A=A, eps=eps, fixed_zero=fixed_zero,
-                           transcript=transcript)
+    pinned = A.max(axis=0) > n / eps
+    A[:, pinned] = 0.0
+    A[(A > 0) & (A < eps / n)] = eps / n
+    return PackingInstance(A=A, eps=eps,
+                           fixed_zero=np.flatnonzero(pinned).tolist())
 
 
 def add_box_rows(inst: PackingInstance) -> PackingInstance:
@@ -111,8 +97,7 @@ def add_box_rows(inst: PackingInstance) -> PackingInstance:
             f"entries, above the limit of {MAX_PACKING_ENTRIES}")
     A = np.vstack([inst.A, np.eye(inst.n)])
     return PackingInstance(A=A, eps=inst.eps, includes_box=True,
-                           fixed_zero=list(inst.fixed_zero),
-                           transcript=list(inst.transcript))
+                           fixed_zero=list(inst.fixed_zero))
 
 
 @dataclass
@@ -123,8 +108,6 @@ class PackingSolverConfig:
     # align eta and lambda with the classic linear packing scheme
     # (eta = eps/(2 ln m), lambda fixed at M); equivalence-test hook
     figure1_lambda: bool = False
-    # called with a copy of x at initialization and after every update
-    iterate_hook: Optional[object] = None
 
     def __post_init__(self):
         check_params(self.eps, [self.M], self.max_iterations)
@@ -163,14 +146,14 @@ def solve_packing_monotone(obj: ObjectiveSpec, inst: PackingInstance,
                            cfg: PackingSolverConfig) -> SolveReport:
     _check_variant(obj, inst, True)
     return _solve(obj, inst, cfg.eps, [cfg.M], True, cfg.max_iterations,
-                  cfg.figure1_lambda, cfg.iterate_hook)[0]
+                  cfg.figure1_lambda)[0]
 
 
 def solve_packing_nonmonotone(obj: ObjectiveSpec, inst: PackingInstance,
                               cfg: PackingSolverConfig) -> SolveReport:
     _check_variant(obj, inst, False)
     return _solve(obj, inst, cfg.eps, [cfg.M], False, cfg.max_iterations,
-                  cfg.figure1_lambda, cfg.iterate_hook)[0]
+                  cfg.figure1_lambda)[0]
 
 
 def solve_packing_guesses(obj: ObjectiveSpec, inst: PackingInstance,
@@ -212,7 +195,7 @@ class _Live(SimpleNamespace):
 
 
 def _solve(obj, inst, eps, guesses, monotone, max_iterations,
-           figure1_lambda=False, iterate_hook=None) -> list:
+           figure1_lambda=False) -> list:
     """The packing loop over a vector of guesses; one report per guess.
 
     Every guess starts at the same point and takes one iteration per pass,
@@ -230,7 +213,6 @@ def _solve(obj, inst, eps, guesses, monotone, max_iterations,
         eta = eps / (2.0 * (2.0 + _lnm(m)))
     else:
         eta = eps / (2.0 * _lnm(m))
-    p = SoftmaxParams(eta=eta, m=m)
     if monotone:
         cap = iteration_cap_monotone(n, m, eps)
         floor_k = math.exp(10.0 * eps - 1.0) - eta  # lambda floor / M
@@ -246,14 +228,12 @@ def _solve(obj, inst, eps, guesses, monotone, max_iterations,
     M = np.array(guesses, dtype=float)
     X = np.tile(_start_point(inst, eps), (M.size, 1))
     AZ = X @ A.T
-    t = smax(AZ, p)
+    t = smax(AZ, eta)
     s = _Live(pos=np.arange(M.size), M=M, target=target_k * M,
               lam_floor=floor_k * M, tol=1e-9 * np.maximum(M, 1.0),
               c_floor=1e-15 * M[:, None], X=X, Z=X, AZ=AZ, t=t,
-              P=smax_grad(AZ, p), exp_t=np.exp(t), exp_neg_t=np.exp(-t),
+              P=smax_grad(AZ, eta), exp_t=np.exp(t), exp_neg_t=np.exp(-t),
               fx=obj.eval_many(X), coord_updates=np.zeros(X.shape))
-    if iterate_hook is not None:
-        iterate_hook(X[0].copy())
 
     reports = [None] * M.size
     notes = [[] for _ in range(M.size)]
@@ -276,7 +256,7 @@ def _solve(obj, inst, eps, guesses, monotone, max_iterations,
         ax_inf = AX.max(axis=1)
         feasible = ax_inf <= 1.0 - 2.0 * eps + 1e-9
         if termination == CONVERGED:
-            s_final = smax(AX, p)
+            s_final = smax(AX, eta)
             bad = s_final > 1.0 - 2.0 * eps + 1e-9
             if np.count_nonzero(bad):
                 raise InvariantViolation(f"converged with smax "
@@ -346,7 +326,7 @@ def _solve(obj, inst, eps, guesses, monotone, max_iterations,
             Z_new = s.Z + d
         fx_new = obj._values(X_new)
         AZ_new = Z_new @ A.T
-        t_new, P_new = _smax_dist(AZ_new, p)
+        t_new, P_new = _smax_dist(AZ_new, eta)
         dt = t_new - s.t
         short = (t_new > s.t + 1e-12) & (fx_new - s.fx < lam * dt - s.tol)
         if np.count_nonzero(short):
@@ -378,8 +358,6 @@ def _solve(obj, inst, eps, guesses, monotone, max_iterations,
             s.exp_t, s.exp_neg_t = exp_t_new, exp_neg_t_new
         s.coord_updates += mvec
         s.X, s.Z, s.AZ, s.t, s.P, s.fx = X_new, Z_new, AZ_new, t_new, P_new, fx_new
-        if iterate_hook is not None:
-            iterate_hook(X_new[0].copy())
         iters += 1
         # a valid guess keeps the potential <= 1-eps until the last
         # iteration, so spending the whole budget short of the value

@@ -31,9 +31,10 @@ def check_params(eps, guesses, max_iterations):
         if not (0 < M < math.inf):
             raise ValueError(f"M must be positive and finite, got {M}")
     if not (max_iterations is None
-            or isinstance(max_iterations, numbers.Integral)):
-        raise ValueError(
-            f"max_iterations must be an integer, got {max_iterations!r}")
+            or isinstance(max_iterations, numbers.Integral)
+            and max_iterations >= 0):
+        raise ValueError(f"max_iterations must be a non-negative integer, "
+                         f"got {max_iterations!r}")
 
 
 def check_dimensions(obj_n: int, n: int):

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from drsubmax.softmax import SoftmaxParams, smax_grad
+from drsubmax.softmax import smax_grad
 
 
 def linear_packing_reference(weights, A, eps, M, max_iters=100_000):
@@ -18,7 +18,6 @@ def linear_packing_reference(weights, A, eps, M, max_iters=100_000):
     A = np.asarray(A, dtype=float)
     m, n = A.shape
     eta = eps / (2.0 * math.log(max(m, 2)))
-    p = SoftmaxParams(eta=eta, m=m)
     x = eps / (n * A.max(axis=0))
     iterates = [x.copy()]
     for _ in range(max_iters):
@@ -27,7 +26,7 @@ def linear_packing_reference(weights, A, eps, M, max_iters=100_000):
             break
         c = weights.copy()
         c[x > 1.0] = 0.0
-        score = A.T @ smax_grad(A @ x, p)
+        score = A.T @ smax_grad(A @ x, eta)
         mvec = np.zeros(n)
         live = c > 1e-15 * M
         mvec[live] = np.maximum(1.0 - M * score[live] / c[live], 0.0)

@@ -1,18 +1,19 @@
 """Test-support oracles: exhaustive references and proof devices.
 
 The paper's exchange-vector construction and its softmax increment bound
-are steps of the analysis, not of the algorithm; the 2^n membership check
-and the multilinear enumeration are exhaustive references.  None of them
-is on the solve path, so they live beside the tests that use them and
-reach the package only through its public API.
+are steps of the analysis, not of the algorithm; the 2^n membership check,
+the multilinear enumeration and central differences are references.  None
+of them is on the solve path, so they live beside the tests that use them
+and reach the package only through its public API.  `recorded_iterates`
+watches a solve from outside, through the objective's value kernel.
 """
 
+from contextlib import contextmanager
 from itertools import product
 
 import numpy as np
 
-from drsubmax import (ObjectiveSpec, PolymatroidInstance, SoftmaxParams,
-                      smax, smax_grad)
+from drsubmax import ObjectiveSpec, PolymatroidInstance, smax, smax_grad
 from drsubmax.polymatroid import TIGHT_TOL
 
 
@@ -116,7 +117,7 @@ def membership_bruteforce(pm: PolymatroidInstance, x, scale: float = 1.0,
     return True
 
 
-def increment_bound(x, d, A, p: SoftmaxParams) -> float:
+def increment_bound(x, d, A, eta: float) -> float:
     """Second-order upper bound on smax(A(x+d)).
 
     Returns smax(Ax) + <A^T grad smax(Ax), d + ||Ax||_inf * (1/eta) *
@@ -127,24 +128,24 @@ def increment_bound(x, d, A, p: SoftmaxParams) -> float:
     x = np.asarray(x, dtype=float)
     d = np.asarray(d, dtype=float)
     A = np.asarray(A, dtype=float)
-    if A.shape != (p.m, x.size) or d.shape != x.shape:
+    if A.ndim != 2 or A.shape[1] != x.size or d.shape != x.shape:
         raise ValueError("inconsistent dimensions")
     if np.any(x < 0) or np.any(d < 0) or np.any(A < 0):
         raise ValueError("x, d and A must be non-negative")
     Ad = A @ d
-    if Ad.size and float(np.abs(Ad).max()) / p.eta > 0.5 + 1e-12:
+    if Ad.size and float(np.abs(Ad).max()) / eta > 0.5 + 1e-12:
         raise ValueError(
             "hypothesis violated: (1/eta) * ||A d||_inf = "
-            f"{float(np.abs(Ad).max()) / p.eta:.6g} > 1/2"
+            f"{float(np.abs(Ad).max()) / eta:.6g} > 1/2"
         )
     Ax = A @ x
-    g = smax_grad(Ax, p)
+    g = smax_grad(Ax, eta)
     ax_inf = float(Ax.max()) if Ax.size else 0.0
     pinv = np.zeros_like(x)
     nz = x > 0
     pinv[nz] = 1.0 / x[nz]
-    correction = ax_inf * (1.0 / p.eta) * pinv * (d * d)
-    return smax(Ax, p) + float((A.T @ g) @ (d + correction))
+    correction = ax_inf * (1.0 / eta) * pinv * (d * d)
+    return smax(Ax, eta) + float((A.T @ g) @ (d + correction))
 
 
 def multilinear_enumeration(obj: ObjectiveSpec, x) -> float:
@@ -161,3 +162,41 @@ def multilinear_enumeration(obj: ObjectiveSpec, x) -> float:
         if w > 0:
             total += w * obj.set_value([i for i, b in enumerate(bits) if b])
     return total
+
+
+def finite_diff_grad(obj: ObjectiveSpec, x, h: float = 1e-5) -> np.ndarray:
+    """Central differences (F(x + h e_i) - F(x - h e_i)) / (2h)."""
+    x = np.asarray(x, dtype=float)
+    if h <= 0:
+        raise ValueError("h must be positive")
+    if np.any(x < h) or np.any(x > 1.0 - h):
+        raise ValueError("x must lie in (h, 1-h)^n for central differences")
+    g = np.zeros(x.size)
+    for i in range(x.size):
+        up = x.copy(); up[i] += h
+        dn = x.copy(); dn[i] -= h
+        g[i] = (obj.eval(up) - obj.eval(dn)) / (2.0 * h)
+    return g
+
+
+@contextmanager
+def recorded_iterates():
+    """While the block runs, record the first row of every matrix the value
+    kernel `ObjectiveSpec._values` is called on, as a list of copies.
+
+    The packing loop calls the kernel once on the start point (through
+    `eval_many`) and once per iteration on the new iterate, so a
+    single-guess solve in the block leaves 1 + inner_iterations iterates.
+    """
+    iterates = []
+    kernel = ObjectiveSpec._values
+
+    def record(self, X):
+        iterates.append(X[0].copy())
+        return kernel(self, X)
+
+    ObjectiveSpec._values = record
+    try:
+        yield iterates
+    finally:
+        ObjectiveSpec._values = kernel

@@ -22,10 +22,11 @@ from drsubmax.packing_solver import (iteration_cap_monotone,
                                      iteration_cap_nonmonotone)
 from drsubmax.polymatroid import PolymatroidInstance as PM
 from drsubmax.report import CONVERGED, GUESS_REJECTED
-from drsubmax.softmax import SoftmaxParams, smax, smax_grad
+from drsubmax.softmax import smax, smax_grad
 
 from linear_reference import linear_packing_reference
-from oracles import exchange_vector, increment_bound, multilinear_enumeration
+from oracles import (exchange_vector, finite_diff_grad, increment_bound,
+                     multilinear_enumeration, recorded_iterates)
 
 EPS = 0.05
 C = 15  # calibrated constant for the approximation bounds
@@ -264,13 +265,12 @@ def test_criterion_06_softmax_bound_suite():
         x *= 0.5 / float((A @ x).max())  # ||Ax||_inf = 1/2: hypothesis holds
         lam = float(rng.uniform(0.1, 2.0))
         c = rng.uniform(0.1, 2.0, size=n)
-        p = SoftmaxParams(eta=eta, m=m)
-        score = A.T @ smax_grad(A @ x, p)
+        score = A.T @ smax_grad(A @ x, eta)
         mdiag = np.maximum(1.0 - lam * score / c, 0.0)
         d = eta * mdiag * x
-        s0 = smax(A @ x, p)
-        s1 = smax(A @ (x + d), p)
-        if s1 > increment_bound(x, d, A, p) + 1e-9:
+        s0 = smax(A @ x, eta)
+        s1 = smax(A @ (x + d), eta)
+        if s1 > increment_bound(x, d, A, eta) + 1e-9:
             violations += 1
         cor_a = s0 + eta * float(score @ (mdiag * x + mdiag ** 2 * x))
         if s1 > cor_a + 1e-9:
@@ -312,7 +312,6 @@ def test_criterion_07_exchange_property_suite():
 
 
 def test_criterion_08_gradient_and_estimator_cross_checks():
-    from drsubmax.bruteforce import finite_diff_grad
     rng = np.random.default_rng(808)
     grad_fail = 0
     for kind in ("linear", "coverage", "cut"):
@@ -360,10 +359,10 @@ def test_criterion_09_linear_reference_equivalence():
         M = 0.5 * w.sum() / A.sum(axis=1).max()
         obj = ObjectiveSpec.linear(w)
         ref = linear_packing_reference(w, inst.A, EPS, M)
-        got = []
-        cfg = PackingSolverConfig(eps=EPS, M=M, figure1_lambda=True,
-                                  iterate_hook=got.append)
-        solve_packing_monotone(obj, inst, cfg)
+        cfg = PackingSolverConfig(eps=EPS, M=M, figure1_lambda=True)
+        with recorded_iterates() as got:
+            r = solve_packing_monotone(obj, inst, cfg)
+        assert len(got) == 1 + r.inner_iterations
         if len(ref) != len(got) or not all(
                 (a == b).all() for a, b in zip(ref, got)):
             mismatches += 1

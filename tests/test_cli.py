@@ -368,3 +368,23 @@ def test_empty_ground_set(tmp_path, capsys, inst, command):
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: constraint.n: ") and "n >= 1" in err
+
+
+@pytest.mark.parametrize("known_opt", [{"a": [1, "x"]}, "abc", -1.0, None,
+                                       [0.95]],
+                         ids=["object", "string", "negative", "null", "list"])
+def test_known_opt_must_be_a_non_negative_number(tmp_path, capsys, known_opt):
+    # each of these used to verify with exit 0 (all but null were copied
+    # into the report)
+    data = json.loads(FIXTURE.read_text())
+    data["known_opt"] = known_opt
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: known_opt: expected a non-negative finite number, "
+                   f"got {known_opt!r}\n")
+    for ok in (0, 2, 0.5):
+        data["known_opt"] = ok
+        assert parse_instance(json.dumps(data)).known_opt == ok

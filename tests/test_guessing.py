@@ -14,28 +14,31 @@ from drsubmax.report import CONVERGED, GUESS_REJECTED, ITERATION_CAP
 
 def test_m0_is_max_singleton():
     obj = ObjectiveSpec.linear([2.0, 3.0])
-    ladder = build_ladder(obj, 0.05)
-    assert ladder.m0 == pytest.approx(3.0)
+    m0 = obj.singleton_values().max()
+    assert m0 == pytest.approx(3.0)
+    assert build_ladder(obj, 0.05)[0] == m0
 
 
 def test_ladder_formula_small_case():
     # n=2, eps=0.5: ceil(2 ln 2 / 0.5) = 3, so 4 entries
     obj = ObjectiveSpec.linear([2.0, 3.0])
     ladder = build_ladder(obj, 0.5)
-    np.testing.assert_allclose(ladder.guesses, [3.0, 4.5, 6.75, 10.125])
+    np.testing.assert_allclose(ladder, [3.0, 4.5, 6.75, 10.125])
 
 
 def test_ladder_coverage_example():
     obj = ObjectiveSpec.coverage([1.0], [[0], [0]])
-    assert build_ladder(obj, 0.05).m0 == pytest.approx(1.0)
+    assert obj.singleton_values().max() == pytest.approx(1.0)
+    assert build_ladder(obj, 0.05)[0] == obj.singleton_values().max()
 
 
 def test_ladder_covers_any_opt_in_range():
     obj = ObjectiveSpec.linear([1.0, 1.0, 1.0])
     eps = 0.05
     ladder = build_ladder(obj, eps)
-    for opt in np.linspace(ladder.m0, 3 * ladder.m0, 200):
-        assert any(M <= opt <= (1 + eps) * M for M in ladder.guesses)
+    m0 = obj.singleton_values().max()
+    for opt in np.linspace(m0, 3 * m0, 200):
+        assert any(M <= opt <= (1 + eps) * M for M in ladder)
 
 
 def test_zero_objective_returns_zero_solution():
@@ -53,7 +56,7 @@ def test_empty_ground_set(m):
     # kinds; a single guess has nothing to solve and says so
     empty = np.zeros(0)
     packing = normalize_packing(np.zeros((m, 0)), 0.05)
-    assert (packing.m, packing.n, packing.transcript) == (m, 0, [])
+    assert (packing.m, packing.n, packing.fixed_zero) == (m, 0, [])
     cases = [(ObjectiveSpec.linear([]), packing, True),
              (ObjectiveSpec.directed_cut(0, []), packing, False),
              (ObjectiveSpec.coverage([1.0], []), PolymatroidInstance.uniform(0, 1),
@@ -74,7 +77,7 @@ def test_guessing_matroid_end_to_end():
     r = solve_with_guessing(obj, pm, 0.05)
     assert r.feasible
     assert r.termination == CONVERGED
-    assert len(r.guess_trace) == len(build_ladder(obj, 0.05).guesses)
+    assert len(r.guess_trace) == len(build_ladder(obj, 0.05))
 
 
 def test_rounds_are_parallel_max_not_sum():
@@ -110,7 +113,7 @@ def test_build_ladder_bounds_its_length_up_front(eps, m_low):
         build_ladder(obj, eps, m_low=m_low)
     longest = build_ladder(obj, 2 * math.log(2) / (
         drsubmax.guessing.MAX_LADDER_GUESSES - 1))
-    assert len(longest.guesses) == drsubmax.guessing.MAX_LADDER_GUESSES
+    assert len(longest) == drsubmax.guessing.MAX_LADDER_GUESSES
 
 
 def _fake_solver(outcomes, calls):
@@ -135,7 +138,7 @@ def _fake_solver(outcomes, calls):
 def test_ladder_termination(monkeypatch, late, expected):
     obj = ObjectiveSpec.coverage([1, 1], [[0], [1]])
     pm = PolymatroidInstance.uniform(2, 1)
-    k = len(build_ladder(obj, 0.05).guesses)
+    k = len(build_ladder(obj, 0.05))
     outcomes = ([(ITERATION_CAP, 0.8488, True), (GUESS_REJECTED, 0.9, False)]
                 + [late] * (k - 2))
     calls = []
@@ -309,6 +312,12 @@ def test_zero_max_iterations_is_a_cap_not_the_default(constraint):
                                        monotone=True, max_iterations=0)
     assert r.termination == ITERATION_CAP
     assert r.inner_iterations == 0
+    # a negative cap is rejected, by the ladder too
+    with pytest.raises(ValueError, match="non-negative integer"):
+        solve_with_guessing(obj, constraint, 0.05, max_iterations=-1)
+    with pytest.raises(ValueError, match="non-negative integer"):
+        solve_single(obj, constraint, 0.05, 0.95, monotone=True,
+                     max_iterations=-1)
 
 
 def _stub_packing_guesses(monkeypatch):
@@ -336,8 +345,8 @@ def test_packing_ladder_starts_at_m0_when_a_singleton_is_feasible():
                               [0.0, 0.6244233843612701]], 0.05)
     r = solve_with_guessing(obj, inst, 0.05, max_iterations=10)
     ladder = build_ladder(obj, 0.05)
-    assert [M for M, _, _ in r.guess_trace] == ladder.guesses
-    assert ladder.guesses[0] == ladder.m0
+    assert [M for M, _, _ in r.guess_trace] == ladder
+    assert ladder[0] == obj.singleton_values().max()
 
 
 @pytest.mark.parametrize("kind", ["linear", "coverage", "cut"])

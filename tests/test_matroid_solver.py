@@ -120,9 +120,11 @@ def test_config_validation():
     for M in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             MatroidSolverConfig(eps=0.05, M=M)
-    for cap in (math.inf, 2.5, "7"):
+    for cap in (math.inf, 2.5, "7", -3, -1, np.int64(-2)):
         with pytest.raises(ValueError, match="integer"):
             MatroidSolverConfig(eps=0.05, M=1.0, max_iterations=cap)
+    assert MatroidSolverConfig(eps=0.05, M=1.0,
+                               max_iterations=0).max_iterations == 0
     assert MatroidSolverConfig(eps=0.05, M=1.0,
                                max_iterations=np.int64(7)).max_iterations == 7
 

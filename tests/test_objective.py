@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drsubmax.bruteforce import finite_diff_grad
 from drsubmax.objective import ObjectiveSpec
 
-from oracles import multilinear_enumeration
+from oracles import finite_diff_grad, multilinear_enumeration
 
 
 def cover_example():

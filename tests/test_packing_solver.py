@@ -11,7 +11,9 @@ from drsubmax import (ObjectiveSpec, PackingSolverConfig, add_box_rows,
 from drsubmax.matroid_solver import iteration_budget
 from drsubmax.packing_solver import (iteration_cap_monotone,
                                      iteration_cap_nonmonotone)
-from drsubmax.report import CONVERGED, GUESS_REJECTED
+from drsubmax.report import CONVERGED, GUESS_REJECTED, ITERATION_CAP
+
+from oracles import recorded_iterates
 
 EPS = 0.05
 
@@ -20,7 +22,6 @@ def test_normalize_in_range_is_identity():
     A = np.array([[0.5, 1.0], [0.2, 0.0]])
     inst = normalize_packing(A, EPS)
     np.testing.assert_allclose(inst.A, A)
-    assert inst.transcript == []
     assert inst.fixed_zero == []
 
 
@@ -29,7 +30,6 @@ def test_normalize_huge_entry_pins_column():
     inst = normalize_packing([[10 * n / EPS]], EPS)
     assert inst.fixed_zero == [0]
     assert inst.A[0, 0] == 0.0
-    assert len(inst.transcript) == 1
 
 
 def test_normalize_raises_tiny_entries_and_keeps_zeros():
@@ -37,7 +37,56 @@ def test_normalize_raises_tiny_entries_and_keeps_zeros():
     inst = normalize_packing(A, EPS)
     assert inst.A[0, 1] == pytest.approx(EPS / 2)
     assert inst.A[1, 0] == 0.0  # sparsity preserved
-    assert len(inst.transcript) == 1
+    assert (inst.A == [[1.0, EPS / 2], [0.0, 1.0]]).all()  # nothing else moved
+
+
+def _normalize_by_columns(A, eps):
+    """The per-column loop normalize_packing ran before its array form:
+    (A, fixed_zero) with every column holding an entry above n/eps zeroed
+    and pinned, and in the other columns every nonzero entry below eps/n
+    raised to eps/n."""
+    A = np.array(A, dtype=float)
+    n = A.shape[1]
+    lo, hi = eps / n, n / eps
+    fixed_zero = []
+    for j in range(n):
+        col = A[:, j]
+        if col.max() > hi:
+            fixed_zero.append(j)
+            A[:, j] = 0.0
+            continue
+        small = (col > 0) & (col < lo)
+        A[small, j] = lo
+    return A, fixed_zero
+
+
+@st.composite
+def packing_matrices(draw):
+    """(A, eps) with entries 0, below eps/n, inside the range, above n/eps,
+    and at both ends and their neighbouring floats."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    eps = draw(st.sampled_from([0.05, 0.03, 0.001]))
+    lo, hi = eps / n, n / eps
+    ends = [lo, hi] + [np.nextafter(v, d) for v in (lo, hi)
+                       for d in (0.0, math.inf)]
+    entry = st.one_of(st.just(0.0), st.sampled_from(ends),
+                      st.floats(0.0, lo), st.floats(lo, hi),
+                      st.floats(hi, 1e3 * hi))
+    A = np.array(draw(st.lists(entry, min_size=m * n,
+                               max_size=m * n))).reshape(m, n)
+    A[0, ~A.any(axis=0)] = 1.0  # every column needs a nonzero entry
+    return A, eps
+
+
+@given(packing_matrices())
+@settings(max_examples=300, deadline=None)
+def test_normalize_matches_the_per_column_rule(case):
+    A, eps = case
+    inst = normalize_packing(A, eps)
+    want, fixed_zero = _normalize_by_columns(A, eps)
+    assert inst.A.tobytes() == want.tobytes()
+    assert inst.fixed_zero == fixed_zero
+    assert all(type(j) is int for j in inst.fixed_zero)
 
 
 def test_normalize_rejects_zero_column():
@@ -72,11 +121,10 @@ def test_start_point_uses_the_solvers_eps():
     # the instance was normalized at 0.05; the solve runs at 0.03
     A = np.array([[0.5, 0.8, 0.0], [0.25, 0.1, 0.7]])
     inst = normalize_packing(A, 0.05)
-    iterates = []
-    cfg = PackingSolverConfig(eps=0.03, M=1.0, max_iterations=1,
-                              iterate_hook=iterates.append)
-    solve_packing_monotone(ObjectiveSpec.linear([1.0, 1.0, 1.0]), inst, cfg)
-    assert (iterates[0] == 0.03 / (3 * A.max(axis=0))).all()
+    cfg = PackingSolverConfig(eps=0.03, M=1.0, max_iterations=0)
+    r = solve_packing_monotone(ObjectiveSpec.linear([1.0, 1.0, 1.0]), inst, cfg)
+    assert (r.termination, r.inner_iterations) == (ITERATION_CAP, 0)
+    assert (r.solution == 0.03 / (3 * A.max(axis=0))).all()
 
 
 def test_linear_single_row_example():
@@ -160,9 +208,11 @@ def test_config_validation():
     for M in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             PackingSolverConfig(eps=0.05, M=M)
-    for cap in (math.inf, 2.5, "7"):
+    for cap in (math.inf, 2.5, "7", -3, -1, np.int64(-2)):
         with pytest.raises(ValueError, match="integer"):
             PackingSolverConfig(eps=0.05, M=1.0, max_iterations=cap)
+    assert PackingSolverConfig(eps=0.05, M=1.0,
+                               max_iterations=0).max_iterations == 0
     assert PackingSolverConfig(eps=0.05, M=1.0,
                                max_iterations=np.int64(7)).max_iterations == 7
 
@@ -219,12 +269,11 @@ def packing_cases(draw):
 def test_random_packing_solves_keep_their_invariants(case):
     # every invariant check runs inside the solve: InvariantViolation fails
     obj, inst, M = case
-    iterates = []
     # an oversized guess can run 600,000 iterations to the default cap
-    cfg = PackingSolverConfig(eps=EPS, M=M, max_iterations=5000,
-                              iterate_hook=iterates.append)
+    cfg = PackingSolverConfig(eps=EPS, M=M, max_iterations=5000)
     solve = solve_packing_monotone if obj.monotone else solve_packing_nonmonotone
-    r = solve(obj, inst, cfg)
+    with recorded_iterates() as iterates:
+        r = solve(obj, inst, cfg)
     assert r.adaptive_rounds == 1 + r.inner_iterations
     assert len(iterates) == 1 + r.inner_iterations
     assert r.value == obj.eval(r.solution)
