@@ -10,7 +10,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -46,13 +46,36 @@ _EXIT_BY_ERROR = {InstanceError: EXIT_USAGE, FileNotFoundError: EXIT_USAGE,
 
 @dataclass
 class InstanceFile:
+    """A parsed instance file.  The objective and constraint it builds are
+    kept: parse_instance builds them to check the data, and the solve
+    reuses them."""
+
     objective: dict
     constraint: dict
     eps: float
     seed: int
     known_opt: Optional[float] = None
+    _objective: Optional[ObjectiveSpec] = field(default=None, repr=False,
+                                                compare=False)
+    # (eps, constraint) of the last build_constraint call
+    _constraint: Optional[tuple] = field(default=None, repr=False,
+                                         compare=False)
 
     def build_objective(self) -> ObjectiveSpec:
+        if self._objective is None:
+            self._objective = self._make_objective()
+        return self._objective
+
+    def build_constraint(self, eps: float):
+        """The constraint, normalized at eps if it is a packing matrix;
+        rebuilt only when a packing matrix is asked for at another eps."""
+        if self._constraint is None or (
+                self._constraint[0] != eps
+                and isinstance(self._constraint[1], PackingInstance)):
+            self._constraint = (eps, self._make_constraint(eps))
+        return self._constraint[1]
+
+    def _make_objective(self) -> ObjectiveSpec:
         o = self.objective
         try:
             if o["kind"] == LINEAR:
@@ -66,7 +89,7 @@ class InstanceFile:
             raise InstanceError(f"objective: {exc}") from exc
         raise InstanceError(f"objective.kind: unsupported kind {o['kind']!r}")
 
-    def build_constraint(self, eps: float):
+    def _make_constraint(self, eps: float):
         c = self.constraint
         try:
             if c["type"] == "packing":

@@ -26,6 +26,27 @@ floating-point operations.  Each epoch checks once that this bound is
 below 1 (by the epoch recurrences it is about (1+eps^2)/(1+eps) at most
 for monotone runs, and eps + (1-eps)*z below the damping bound for
 non-monotone ones) and raises InvariantViolation if it is not.
+
+Run-ahead.  The loop repeats the same step for long stretches: while the
+eligible set E stays the same, each step is the fill with E from the
+state the last one reached.  So after each step the loop builds the
+states that k - 1 more steps with E reach, each filled from its own set
+sums as the step fills, takes the gradients and values of all of them in
+one batched kernel call each, and runs the step's checks on every row at
+once: the gain test, the iteration cap, membership in
+(eps/(1+eps))*P, a tight set that never shrinks, v1 > 0, v2 that never
+rises, an unchanged eligible set and a value that never falls.  It
+accepts the rows before the first that fails, and hands that row, with
+its gradient, to the step, which continues, rejects or raises as it
+would have.  A batched kernel gives each row the bits of its own one-row
+call, and v2 is computed per row in Python floats, so an accepted row
+is the step the loop would take: reports are byte for byte those of one
+step per iteration (tests/oracles.py keeps that loop).  k starts at 4,
+doubles while whole batches are accepted and goes back to 4 otherwise;
+a batch's gradients hold at most RUN_AHEAD_ENTRIES entries, so at
+n = 1,000 k stays 1 and the loop takes one step at a time.
+`inner_iterations` and `adaptive_rounds` count the algorithm's steps, not
+kernel calls: each step's queries depend on the step before it.
 """
 
 from __future__ import annotations
@@ -36,13 +57,17 @@ from typing import Optional
 
 import numpy as np
 
-from .objective import ObjectiveSpec
+from .objective import COVERAGE, DIRECTED_CUT, SAMPLED, ObjectiveSpec
 from .polymatroid import TIGHT_TOL, PolymatroidInstance
 from .report import (CONVERGED, GUESS_REJECTED, ITERATION_CAP,
                      InvariantViolation, SolveReport, check_dimensions,
                      check_params, finite_cap)
 
 ITER_BUDGET_K = 64
+# a batch of k steps starts at k = 4, and its gradient call touches
+# k * (n + incidences) <= RUN_AHEAD_ENTRIES entries
+RUN_AHEAD_START = 4
+RUN_AHEAD_ENTRIES = 4096
 
 
 @dataclass
@@ -97,20 +122,28 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
     caps_hi, caps_lo = caps + TIGHT_TOL, caps - TIGHT_TOL
     fill_caps = caps.tolist()
 
+    # a batch is a step and the k - 1 steps run ahead of it, with one
+    # gradient row per step; k is bounded by the entries a row touches
+    k_max = max(1, RUN_AHEAD_ENTRIES // (n + _incidences(obj)))
+
     z = np.zeros(n)
     notes: list = []
     total_inner = 0
     termination = CONVERGED
 
     for j in range(epochs):
+        # the gradient at the future points of the rows of X, and the
+        # values at the points of the rows of Y
         if monotone:
-            g = lambda v: float(obj._interior_values((v + z)[None])[0])
+            grad = lambda X: obj._interior_grad((1.0 + eps) * X + z)
+            values = lambda Y: obj._interior_values(Y + z)
             threshold = eps * ((1.0 - 10.0 * eps) * M)
             top = (1.0 + eps) * x_hi + float(z.max(initial=0.0))
         else:
             damp = 1.0 - z  # fixed for the epoch
             damp_eps = damp * (1.0 + eps)
-            g = lambda v: float(obj._interior_values((damp * v + z)[None])[0])
+            grad = lambda X: damp * obj._interior_grad(damp_eps * X + z)
+            values = lambda Y: obj._interior_values(damp * Y + z)
             threshold = eps * (((1.0 - eps / (1.0 + eps)) ** j - 10.0 * eps) * M)
             top = float((damp_eps * x_hi + z).max(initial=0.0))
         # a bound on every coordinate of the points the epoch evaluates
@@ -119,21 +152,22 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
                 f"epoch {j}: evaluation points may reach {top} >= 1")
 
         xt = x0.copy()
-        g0 = g(x0)
+        g0 = float(values(x0[None])[0])
         rounds += 1
         gt = g0
+        target = threshold - eps * g0 + tol
         tight_prev = np.zeros(n, dtype=bool)
         v2_prev = math.inf
         rejected = False
+        c = None  # the gradient at xt, when a batch has computed it
+        k = min(RUN_AHEAD_START, k_max)
 
-        while gt - g0 <= threshold - eps * g0 + tol:
+        while gt - g0 <= target:
             if total_inner >= max_inner:
                 termination = ITERATION_CAP
                 break
-            if monotone:
-                c = obj._interior_grad((1.0 + eps) * xt + z)
-            else:
-                c = damp * obj._interior_grad(damp_eps * xt + z)
+            if c is None:
+                c = grad(xt)
             # one x(S) per step, shared by the check, the mask and the fill
             sums = pm.incidence @ xt
             if not pm._fits(xt, sums, x_hi, caps_hi):
@@ -147,11 +181,12 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
             if v1 <= 0:
                 rejected = True
                 break
-            v2 = (1.0 + eps) ** math.floor(math.log(v1) / math.log1p(eps))
+            v2 = _bucket(v1, eps)
             if v2 > v2_prev * (1.0 + 1e-9):
                 raise InvariantViolation("bucket value v2 increased within an epoch")
             v2_prev = v2
-            eligible = (c >= v2).nonzero()[0].tolist()  # ascending
+            eligible_mask = c >= v2
+            eligible = eligible_mask.nonzero()[0].tolist()  # ascending
             # the solve's first fill is checked like any caller's; the
             # later ones start from the state the fills built
             if total_inner == 0:
@@ -166,12 +201,67 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
                 break
             for i, step in zip(raised, steps):
                 xt[i] += step
-            g_new = g(xt)
+            g_new = float(values(xt[None])[0])
             if g_new < gt - 1e-9 * M:
                 raise InvariantViolation("objective decreased within an epoch")
             gt = g_new
             total_inner += 1
             rounds += 1  # one gradient batch plus the value query
+            c = None
+
+            # run ahead: the states up to k - 1 more steps with this
+            # eligible set reach, each filled from its own set sums as the
+            # step fills; an empty fill ends the run (the step rejects)
+            states, state_sums = [xt], []
+            while len(state_sums) < k - 1:
+                x = states[-1]
+                sums = pm.incidence @ x
+                raised, steps = pm._step_fill(x, eligible, sums, eps, fill_caps)
+                if not raised:
+                    break
+                x = x.copy()
+                for i, step in zip(raised, steps):
+                    x[i] += step
+                states.append(x)
+                state_sums.append(sums)
+            m = len(state_sums)
+            if not m:
+                continue
+            # one gradient batch for every state, one value batch for the
+            # states the steps reach; a row has the bits of its own call
+            X = np.array(states)
+            C = grad(X)
+            V = values(X[1:])
+            # row r checks the step from states[r] as the step does; it is
+            # accepted when every check passes and the eligible set is E,
+            # so it is the step the loop would take
+            S, C_steps, sums = X[:m], C[:m], np.array(state_sums)
+            g_at = np.concatenate(([gt], V[:-1]))
+            T = pm._tight(S, sums, x_lo, caps_lo)
+            v1s = C_steps.max(axis=1, where=~T, initial=-math.inf)
+            # nan where the step would reject or raise, which fails the row
+            v2s = np.array([_bucket(v, eps) if 0 < v < math.inf else math.nan
+                            for v in v1s.tolist()])
+            ok = ((g_at - g0 <= target)
+                  & (np.arange(m) < max_inner - total_inner)
+                  & (S.max(axis=1) <= x_hi)
+                  & (sums <= caps_hi).all(axis=1)
+                  & ~(np.vstack((tight_prev, T[:-1])) > T).any(axis=1)
+                  & (v2s <= np.concatenate(([v2_prev], v2s[:-1])) * (1.0 + 1e-9))
+                  & ((C_steps >= v2s[:, None]) == eligible_mask).all(axis=1)
+                  & (V >= g_at - 1e-9 * M))
+            a = m if ok.all() else int(ok.argmin())
+            if a:
+                xt = states[a]
+                gt = float(V[a - 1])
+                tight_prev = T[a - 1]
+                v2_prev = float(v2s[a - 1])
+                total_inner += a
+                rounds += a
+            # the step at xt, the first row that failed or the last state,
+            # takes its gradient from the batch
+            c = C[a]
+            k = min(2 * k, k_max) if a == m else min(RUN_AHEAD_START, k_max)
 
         z = z + xt if monotone else z + (1.0 - z) * xt
 
@@ -195,6 +285,21 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
         solution=z, value=value, epochs=epochs, inner_iterations=total_inner,
         adaptive_rounds=rounds, feasible=feasible, guess_used=M,
         termination=termination, slack=slack, notes=notes)
+
+
+def _bucket(v1: float, eps: float) -> float:
+    """v2, the power of (1+eps) at or below v1 > 0."""
+    return (1.0 + eps) ** math.floor(math.log(v1) / math.log1p(eps))
+
+
+def _incidences(obj: ObjectiveSpec) -> int:
+    """The entries, beyond the point's n, that a gradient of obj touches:
+    coverage incidences, arcs, or every sampled set's n coordinates."""
+    if obj.kind == COVERAGE:
+        return obj.elems.size
+    if obj.kind == DIRECTED_CUT:
+        return obj.tail.size
+    return obj.samples * obj.n if obj.kind == SAMPLED else 0
 
 
 def _initial_point(pm, n, eps, D, scale) -> np.ndarray:

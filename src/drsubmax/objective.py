@@ -128,8 +128,9 @@ class ObjectiveSpec:
     # -- helpers ----------------------------------------------------------
 
     def _check(self, x, ndim: int = 1) -> np.ndarray:
-        """x as floats: a vector of length n (ndim 1) or a (k, n) matrix."""
-        x = np.asarray(x, dtype=float)
+        """x as C-ordered floats: a vector of length n (ndim 1) or a (k, n)
+        matrix."""
+        x = np.asarray(x, dtype=float, order="C")
         if x.ndim != ndim or x.shape[-1] != self.n:
             raise ValueError(f"expected {'vector' if ndim == 1 else 'rows'} of "
                              f"length {self.n}, got shape {x.shape}")
@@ -169,17 +170,23 @@ class ObjectiveSpec:
         return self._interior_values(np.minimum(X, 1.0))
 
     def _interior_values(self, X: np.ndarray) -> np.ndarray:
-        """F at each row of a (k, n) matrix X in [0, 1]^n."""
+        """F at each row of a C-ordered (k, n) matrix X in [0, 1]^n.
+
+        Row i is F(X[i]) exactly, whatever k: each closed form ends in a
+        row-by-row dot product of C-ordered rows, whose rounding does not
+        depend on the other rows (a matrix product's may).
+        """
         if self.kind == LINEAR:
-            return X @ self.weights
+            return np.vecdot(X, self.weights)
         if self.kind == COVERAGE:
             if not self.elems.size:
                 return np.zeros(X.shape[0])
             miss = np.multiply.reduceat(1.0 - X.take(self.elems, axis=1),
                                         self.starts, axis=1)
-            return (1.0 - miss) @ self.weights
+            return np.vecdot(1.0 - miss, self.weights)
         if self.kind == DIRECTED_CUT:
-            return (X[:, self.tail] * (1.0 - X[:, self.head])) @ self.weights
+            return np.vecdot(X.take(self.tail, axis=1)
+                             * (1.0 - X.take(self.head, axis=1)), self.weights)
         return np.array([np.mean([self.set_fn(frozenset(np.flatnonzero(r)))
                                   for r in self._sample_matrix(x)]) for x in X])
 
@@ -253,7 +260,8 @@ class ObjectiveSpec:
         return float(self._values(self._check(x)[None])[0])
 
     def eval_many(self, X) -> np.ndarray:
-        """eval of every row of X, which has shape (k, n)."""
+        """eval of every row of X, which has shape (k, n); row i equals
+        eval(X[i]) exactly."""
         return self._values(self._check(X, ndim=2))
 
     def grad(self, x) -> np.ndarray:

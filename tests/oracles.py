@@ -6,15 +6,23 @@ the multilinear enumeration and central differences are references.  None
 of them is on the solve path, so they live beside the tests that use them
 and reach the package only through its public API.  `recorded_iterates`
 watches a solve from outside, through the objective's value kernel.
+`stepwise_matroid_solve` is the matroid loop without its run-ahead, one
+step per iteration on the package's private kernels: the reference the
+solver's batched steps must match byte for byte.
 """
 
+import math
 from contextlib import contextmanager
 from itertools import product
 
 import numpy as np
 
 from drsubmax import ObjectiveSpec, PolymatroidInstance, smax, smax_grad
+from drsubmax.matroid_solver import _initial_point, iteration_budget
 from drsubmax.polymatroid import TIGHT_TOL
+from drsubmax.report import (CONVERGED, GUESS_REJECTED, ITERATION_CAP,
+                             InvariantViolation, SolveReport,
+                             check_dimensions)
 
 
 def _vec(pm: PolymatroidInstance, x) -> np.ndarray:
@@ -200,3 +208,112 @@ def recorded_iterates():
         yield iterates
     finally:
         ObjectiveSpec._values = kernel
+
+
+def stepwise_matroid_solve(obj: ObjectiveSpec, pm: PolymatroidInstance, cfg,
+                           monotone: bool) -> SolveReport:
+    """The matroid solver taking one step per iteration: each step makes
+    its own gradient call, checks, fill and value call.  Same arguments
+    as `matroid_solver._solve`."""
+    n = pm.n
+    check_dimensions(obj.n, n)
+    epochs = math.ceil(1.0 / cfg.eps)
+    eps = 1.0 / epochs
+    scale = eps / (1.0 + eps)
+    M = cfg.M
+    tol = 1e-12 * M
+    singles = obj.singleton_values()
+    D = max(n / eps, float(singles.max()) / M)
+    budget = iteration_budget(n, eps)
+    max_inner = budget if cfg.max_iterations is None else cfg.max_iterations
+    rounds = 1
+    x0 = _initial_point(pm, n, eps, D, scale)
+    x_hi, x_lo = scale + TIGHT_TOL, scale - TIGHT_TOL
+    caps = scale * pm.caps
+    caps_hi, caps_lo = caps + TIGHT_TOL, caps - TIGHT_TOL
+    fill_caps = caps.tolist()
+    z = np.zeros(n)
+    notes: list = []
+    total_inner = 0
+    termination = CONVERGED
+    for j in range(epochs):
+        if monotone:
+            g = lambda v: float(obj._interior_values((v + z)[None])[0])
+            threshold = eps * ((1.0 - 10.0 * eps) * M)
+            top = (1.0 + eps) * x_hi + float(z.max(initial=0.0))
+        else:
+            damp = 1.0 - z
+            damp_eps = damp * (1.0 + eps)
+            g = lambda v: float(obj._interior_values((damp * v + z)[None])[0])
+            threshold = eps * (((1.0 - eps / (1.0 + eps)) ** j - 10.0 * eps) * M)
+            top = float((damp_eps * x_hi + z).max(initial=0.0))
+        if not top < 1.0:
+            raise InvariantViolation(
+                f"epoch {j}: evaluation points may reach {top} >= 1")
+        xt = x0.copy()
+        g0 = g(x0)
+        rounds += 1
+        gt = g0
+        tight_prev = np.zeros(n, dtype=bool)
+        v2_prev = math.inf
+        rejected = False
+        while gt - g0 <= threshold - eps * g0 + tol:
+            if total_inner >= max_inner:
+                termination = ITERATION_CAP
+                break
+            if monotone:
+                c = obj._interior_grad((1.0 + eps) * xt + z)
+            else:
+                c = damp * obj._interior_grad(damp_eps * xt + z)
+            sums = pm.incidence @ xt
+            if not pm._fits(xt, sums, x_hi, caps_hi):
+                raise ValueError("x is not in scale * P")
+            tight = pm._tight(xt, sums, x_lo, caps_lo)
+            if np.count_nonzero(tight_prev > tight):
+                raise InvariantViolation("tight set lost coordinates")
+            tight_prev = tight
+            v1 = c.max(where=~tight, initial=-math.inf)
+            if v1 <= 0:
+                rejected = True
+                break
+            v2 = (1.0 + eps) ** math.floor(math.log(v1) / math.log1p(eps))
+            if v2 > v2_prev * (1.0 + 1e-9):
+                raise InvariantViolation("bucket value v2 increased within an epoch")
+            v2_prev = v2
+            eligible = (c >= v2).nonzero()[0].tolist()
+            if total_inner == 0:
+                y = pm.waterfill(xt, eligible, eps)
+                raised = y.nonzero()[0].tolist()
+                steps = y[raised].tolist()
+            else:
+                raised, steps = pm._step_fill(xt, eligible, sums, eps,
+                                              fill_caps)
+            if not raised:
+                rejected = True
+                break
+            for i, step in zip(raised, steps):
+                xt[i] += step
+            g_new = g(xt)
+            if g_new < gt - 1e-9 * M:
+                raise InvariantViolation("objective decreased within an epoch")
+            gt = g_new
+            total_inner += 1
+            rounds += 1
+        z = z + xt if monotone else z + (1.0 - z) * xt
+        if not monotone:
+            bound = 1.0 - (1.0 - eps / (1.0 + eps)) ** (j + 1)
+            if float(z.max()) > bound + 1e-9:
+                raise InvariantViolation("damped solution exceeded the epoch bound")
+        if rejected:
+            termination = GUESS_REJECTED
+            notes.append(f"epoch {j}: no improvable coordinate before the gain target")
+        if termination != CONVERGED:
+            break
+    value = obj.eval(np.minimum(z, 1.0))
+    feasible = pm.membership(z, 1.0)
+    if not feasible:
+        raise InvariantViolation("returned solution is outside the polymatroid")
+    return SolveReport(
+        solution=z, value=value, epochs=epochs, inner_iterations=total_inner,
+        adaptive_rounds=rounds, feasible=feasible, guess_used=M,
+        termination=termination, slack=pm.slack(z), notes=notes)

@@ -87,6 +87,25 @@ def test_reports_are_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("flags, builds", [
+    ([], (1, 1)),
+    # another eps normalizes the matrix again; the objective is kept
+    (["--eps", "0.04"], (1, 2)),
+], ids=["instance-eps", "other-eps"])
+def test_cli_builds_the_instance_once(monkeypatch, capsys, flags, builds):
+    # parse_instance builds the objective and the packing constraint to
+    # check the data; the solve reuses both
+    counts = {"linear": 0, "normalize_packing": 0}
+    for owner, name in ((drsubmax.cli.ObjectiveSpec, "linear"),
+                        (drsubmax.cli, "normalize_packing")):
+        def counted(*args, _real=getattr(owner, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(owner, name, counted)
+    assert main(["solve-packing", str(FIXTURE), *flags]) == 0
+    assert (counts["linear"], counts["normalize_packing"]) == builds
+
+
 def test_eps_out_of_range_rejected(capsys):
     code = main(["solve-packing", str(FIXTURE), "--eps", "0.5"])
     assert code == 1

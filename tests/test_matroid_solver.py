@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +11,10 @@ from drsubmax import (MatroidSolverConfig, ObjectiveSpec, PolymatroidInstance,
                       brute_force_matroid_opt, solve_matroid_monotone,
                       solve_matroid_nonmonotone)
 from drsubmax import matroid_solver
-from drsubmax.report import CONVERGED, GUESS_REJECTED, InvariantViolation
+from drsubmax.report import (CONVERGED, GUESS_REJECTED, ITERATION_CAP,
+                             InvariantViolation)
+
+from oracles import stepwise_matroid_solve
 
 EPS = 0.05
 # expected bound at eps=0.05: each epoch targets eps*((1-10*eps)*M - current),
@@ -199,10 +203,11 @@ def test_random_matroid_solves_keep_their_invariants(case):
 
 
 def test_loop_calls_the_oracle_kernels(monkeypatch):
-    # each step calls the interior (clamp-free) kernels and the sparse
-    # fill; the clamped and public (checked) methods run only at the
-    # boundary: the initial point, the first fill and the final solution
-    counts = {}
+    # a step calls the interior (clamp-free) kernels and the sparse fill; a
+    # run-ahead batch makes one gradient, one value and one tight-set call
+    # for all its states.  The clamped and public (checked) methods run only
+    # at the boundary: the initial point, the first fill and the solution
+    log = []
     for cls, names in ((ObjectiveSpec, ("_interior_grad", "_interior_values",
                                         "_clamped_grad", "_values",
                                         "grad", "eval")),
@@ -210,54 +215,84 @@ def test_loop_calls_the_oracle_kernels(monkeypatch):
                                               "_dense", "membership",
                                               "waterfill"))):
         for name in names:
-            real = getattr(cls, name)
-            counts[name] = 0
-
-            def counted(*args, _name=name, _real=real, **kwargs):
-                counts[_name] += 1
-                return _real(*args, **kwargs)
-            monkeypatch.setattr(cls, name, counted)
+            def logged(self, *args, _name=name, _real=getattr(cls, name),
+                       **kwargs):
+                x = np.asarray(args[0]) if args else None
+                log.append((_name, None if x is None or x.ndim < 2
+                            else x.shape[0]))
+                return _real(self, *args, **kwargs)
+            monkeypatch.setattr(cls, name, logged)
     obj = ObjectiveSpec.coverage([1, 1, 1, 1], [[0], [1], [2], [3]])
     pm = PolymatroidInstance.uniform(4, 2)
     r = solve_matroid_monotone(obj, pm, MatroidSolverConfig(eps=EPS, M=2.0))
     assert r.termination == CONVERGED
-    assert r.inner_iterations > 0
-    assert counts["_interior_grad"] == r.inner_iterations
-    assert counts["_clamped_grad"] == 0
-    # g(x0) once per epoch, g(x) once per step, the final value by eval
-    # (which clamps, then runs the interior kernel)
-    assert counts["_interior_values"] == r.inner_iterations + r.epochs + 1
-    assert counts["_values"] == 1
-    assert counts["_tight"] == counts["_step_fill"] == r.inner_iterations
+
+    calls = Counter(name for name, _ in log)
+    # a batch of k states: the gradients of all k, then the values and the
+    # tight sets of the k - 1 states its steps reach and start from
+    batches = [i for i, (name, k) in enumerate(log)
+               if name == "_interior_grad" and k is not None]
+    for i in batches:
+        k = log[i][1]
+        after = [entry for entry in log[i + 1:]
+                 if entry[0] in ("_interior_values", "_tight")][:2]
+        assert after == [("_interior_values", k - 1), ("_tight", k - 1)]
+    # the steps outside the batches take the tight set of one point
+    steps = log.count(("_tight", None))
+    assert calls["_tight"] == steps + len(batches)
+    assert 0 < steps < r.inner_iterations
+    # one gradient call per batch, plus each epoch's first step
+    assert calls["_interior_grad"] == r.epochs + len(batches)
+    assert calls["_interior_grad"] < r.inner_iterations / 10
+    assert calls["_clamped_grad"] == 0
+    # g(x0) once per epoch, g(x) once per step, one batch per batch, the
+    # final value by eval (which clamps, then runs the interior kernel)
+    assert calls["_interior_values"] == r.epochs + steps + len(batches) + 1
+    assert calls["_values"] == 1
     # the fill stays sparse; only the first, checked fill is made dense
-    assert counts["_dense"] == 1
+    assert calls["_dense"] == 1
     # plus the initial point's and the solution's membership tests and the
     # first fill's check
-    assert counts["_fits"] == r.inner_iterations + 3
-    assert (counts["grad"], counts["eval"]) == (0, 1)
-    assert (counts["membership"], counts["waterfill"]) == (2, 1)
+    assert calls["_fits"] == steps + 3
+    assert (calls["grad"], calls["eval"]) == (0, 1)
+    assert (calls["membership"], calls["waterfill"]) == (2, 1)
 
 
-def test_sparse_fill_adds_the_dense_step(monkeypatch):
-    # the loop adds each fill's steps at the raised coordinates only; the
-    # next step starts from the bits of x + y, y the dense fill, or from
-    # the initial point when a new epoch begins
-    real, calls = PolymatroidInstance._step_fill, []
+def _recorded_fills(monkeypatch, solve):
+    """(x, y, rows raised) for each fill that `solve()` makes, y dense."""
+    real, fills = PolymatroidInstance._step_fill, []
 
     def recording(self, x, *args):
         raised, steps = real(self, x, *args)
-        calls.append((x.copy(), self._dense(raised, steps), len(raised)))
+        fills.append((x.copy(), self._dense(raised, steps), len(raised)))
         return raised, steps
-    monkeypatch.setattr(PolymatroidInstance, "_step_fill", recording)
+    with monkeypatch.context() as patch:
+        patch.setattr(PolymatroidInstance, "_step_fill", recording)
+        report = solve()
+    return report, fills
+
+
+def test_sparse_fill_adds_the_dense_step(monkeypatch):
+    # every state is built by adding a fill's steps at the raised
+    # coordinates only: it has the bits of x + y, x the state the fill
+    # started from and y the dense fill, or is the initial point; the
+    # states the one-step loop fills from appear among them, in order
     # equal weights: every coordinate is eligible, so several rise per step
     obj = ObjectiveSpec.linear([1.0, 1.0, 1.0, 1.0])
     pm = PolymatroidInstance.uniform(4, 2)
-    r = solve_matroid_monotone(obj, pm, MatroidSolverConfig(eps=EPS, M=2.0))
-    assert r.inner_iterations == len(calls)
-    assert max(k for _, _, k in calls) > 1
-    x0 = calls[0][0]
-    for (x, y, _), (x_next, _, _) in zip(calls, calls[1:]):
-        assert (x_next == x + y).all() or (x_next == x0).all()
+    cfg = MatroidSolverConfig(eps=EPS, M=2.0)
+    r, fills = _recorded_fills(
+        monkeypatch, lambda: solve_matroid_monotone(obj, pm, cfg))
+    _, stepwise = _recorded_fills(
+        monkeypatch, lambda: stepwise_matroid_solve(obj, pm, cfg, True))
+    assert len(stepwise) == r.inner_iterations < len(fills)
+    assert max(k for _, _, k in fills) > 1
+    built = {fills[0][0].tobytes()}  # the initial point
+    for x, y, _ in fills:
+        assert x.tobytes() in built
+        built.add((x + y).tobytes())
+    states = iter(x.tobytes() for x, _, _ in fills)
+    assert all(x.tobytes() in states for x, _, _ in stepwise)
 
 
 class _ClampedKernels:
@@ -293,6 +328,84 @@ def test_interior_kernels_solve_as_the_clamped_ones(case):
     cfg = MatroidSolverConfig(eps=EPS, M=M)
     assert (_report_bytes(solve(obj, pm, cfg))
             == _report_bytes(solve(_ClampedKernels(obj), pm, cfg)))
+
+
+def _outcome(solve, *args):
+    """The report's termination and bytes, or the type and message of what
+    the solve raised."""
+    try:
+        r = solve(*args)
+    except (ValueError, InvariantViolation) as exc:
+        return type(exc).__name__, str(exc)
+    return r.termination, _report_bytes(r)
+
+
+def _same_as_stepwise(obj, pm, M, cap, monotone):
+    cfg = MatroidSolverConfig(eps=EPS, M=M, max_iterations=cap)
+    solve = solve_matroid_monotone if monotone else solve_matroid_nonmonotone
+    ran = _outcome(solve, obj, pm, cfg)
+    assert ran == _outcome(stepwise_matroid_solve, obj, pm, cfg, monotone)
+    return ran
+
+
+@given(matroid_cases(), st.sampled_from([0.5, 1.0, 1.3]),
+       st.sampled_from([None, 1, 2, 3, 5, 8, 13, 40]), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_run_ahead_matches_the_stepwise_loop(case, mult, cap, nonmonotone):
+    # the batches accept only the steps the one-step loop takes: over- and
+    # under-guesses, caps inside a batch, both variants, same bytes
+    obj, pm = case
+    M = mult * max(brute_force_matroid_opt(obj, pm).value, 1e-9)
+    _same_as_stepwise(obj, pm, M, cap, obj.monotone and not nonmonotone)
+
+
+@pytest.mark.parametrize("obj, k, mult, cap, monotone, termination", [
+    # long runs of one eligible set, the batches cut by the gain target
+    (ObjectiveSpec.coverage([1, 1, 1, 1], [[0], [1], [2], [3]]), 2, 1.0,
+     None, True, CONVERGED),
+    # the cap falls inside a batch
+    (ObjectiveSpec.coverage([1, 1, 1, 1], [[0], [1], [2], [3]]), 2, 1.0,
+     100, True, ITERATION_CAP),
+    # the bucket falls and the eligible set grows inside a batch
+    (ObjectiveSpec.coverage([2, 2, 2], [[2], [0], [0]]), 1, 1.0, None, True,
+     CONVERGED),
+    # the tight set grows in the accepted steps of a batch
+    (ObjectiveSpec.coverage([2, 1, 2], [[2], [0, 2], [1], [2]]), 4, 3.0,
+     None, True, GUESS_REJECTED),
+    # a step of a batch finds every improvable coordinate tight: rejected
+    (ObjectiveSpec.coverage([1, 3, 1], [[0], [2], [0, 2]]), 2, 3.0, None,
+     True, GUESS_REJECTED),
+    # every eligible coordinate is tight, the run ends in an empty fill
+    (ObjectiveSpec.linear([1.0, 1.0]), 2, 50.0, None, True, GUESS_REJECTED),
+    (ObjectiveSpec.directed_cut(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0),
+                                    (3, 0, 1.0)]), 2, 1.0, None, False,
+     CONVERGED),
+], ids=["gain-target", "cap", "eligible-set", "tight-set-grows",
+        "rejection-in-batch", "rejection-empty-fill", "cut-nonmonotone"])
+def test_batches_cut_as_the_stepwise_loop_stops(obj, k, mult, cap, monotone,
+                                                termination):
+    pm = PolymatroidInstance.uniform(obj.n, k)
+    M = mult * brute_force_matroid_opt(obj, pm).value
+    assert _same_as_stepwise(obj, pm, M, cap, monotone)[0] == termination
+
+
+def test_lost_tight_coordinates_raise_as_in_the_stepwise_loop(monkeypatch):
+    # a faulty tight-set kernel that calls coordinate 3, whose gradient is
+    # 0, tight until x sums to 0.05, which the first epoch passes inside a
+    # batch.  v1 and the eligible set do not see coordinate 3, so only the
+    # per-row never-shrinks check can stop the batch where the one-step
+    # loop raises
+    real = PolymatroidInstance._tight
+
+    def losing(self, x, *args):
+        tight = real(self, x, *args)
+        tight[..., 3] |= x.sum(axis=-1) < 0.05
+        return tight
+    monkeypatch.setattr(PolymatroidInstance, "_tight", losing)
+    obj = ObjectiveSpec.coverage([1, 1, 1, 0], [[0], [1], [2], [3]])
+    pm = PolymatroidInstance.uniform(4, 3)
+    assert _same_as_stepwise(obj, pm, 3.0, None, True) == (
+        "InvariantViolation", "tight set lost coordinates")
 
 
 @pytest.mark.parametrize("obj, solve", [

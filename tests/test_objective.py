@@ -108,13 +108,16 @@ def closed_form_examples():
 
 
 def test_eval_many_matches_eval():
+    # a row's value has the bits of its own eval, whatever the batch size
     rng = np.random.default_rng(4)
     for obj in closed_form_examples():
-        X = rng.uniform(0, 1.2, size=(20, obj.n))
-        X[::3, 0] = 1.0
-        many = obj.eval_many(X)
-        for row, v in zip(X, many):
-            assert obj.eval(row) == v
+        for k in (2, 3, 5, 8, 20, 33, 73):
+            X = rng.uniform(0, 1.2, size=(k, obj.n))
+            X[::3, 0] = 1.0
+            rows = b"".join(np.float64(obj.eval(row)).tobytes() for row in X)
+            # a column-major batch too: the oracle orders it by rows
+            for batch in (X, np.asfortranarray(X)):
+                assert obj.eval_many(batch).tobytes() == rows
 
 
 _entries = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0),
@@ -187,9 +190,9 @@ def test_coverage_grad_without_zero_complements(which, data):
 
 
 @st.composite
-def closed_form_points(draw):
-    """(objective, x): a random linear, coverage or directed-cut objective
-    on n <= 6 elements and a point of [0, 1)^n."""
+def closed_forms(draw):
+    """A random linear, coverage or directed-cut objective on n <= 6
+    elements."""
     n = draw(st.integers(1, 6))
     weight = st.floats(0.0, 3.0)
     kind = draw(st.sampled_from(["linear", "coverage", "directed-cut"]))
@@ -207,8 +210,30 @@ def closed_form_points(draw):
                                         st.integers(0, n - 1)), max_size=2 * n))
         obj = ObjectiveSpec.directed_cut(
             n, [(u, v, draw(weight)) for u, v in pairs if u != v])
+    return obj
+
+
+@st.composite
+def closed_form_points(draw):
+    """(objective, x): a closed form and a point of [0, 1)^n."""
+    obj = draw(closed_forms())
     below_one = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True))
-    return obj, np.array(draw(st.lists(below_one, min_size=n, max_size=n)))
+    return obj, np.array(draw(st.lists(below_one, min_size=obj.n,
+                                       max_size=obj.n)))
+
+
+@given(closed_forms(), st.integers(2, 73), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_eval_many_rows_are_their_own_eval(obj, k, seed):
+    # the matroid loop evaluates a batch of states in one call, and a
+    # packing ladder all its guesses: row i must be eval(X[i]) bitwise
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0.0, 1.2, size=(k, obj.n))
+    X[rng.random(X.shape) < 0.2] = 0.0
+    X[rng.random(X.shape) < 0.1] = 1.0
+    many = obj.eval_many(X)
+    for row, v in zip(X, many):
+        assert np.float64(obj.eval(row)).tobytes() == v.tobytes()
 
 
 @given(closed_form_points())
