@@ -57,7 +57,7 @@ from typing import Optional
 
 import numpy as np
 
-from .objective import COVERAGE, DIRECTED_CUT, SAMPLED, ObjectiveSpec
+from .objective import ObjectiveSpec
 from .polymatroid import TIGHT_TOL, PolymatroidInstance
 from .report import (CONVERGED, GUESS_REJECTED, ITERATION_CAP,
                      InvariantViolation, SolveReport, check_dimensions,
@@ -124,7 +124,7 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
 
     # a batch is a step and the k - 1 steps run ahead of it, with one
     # gradient row per step; k is bounded by the entries a row touches
-    k_max = max(1, RUN_AHEAD_ENTRIES // (n + _incidences(obj)))
+    k_max = max(1, RUN_AHEAD_ENTRIES // (n + obj._incidences()))
 
     z = np.zeros(n)
     notes: list = []
@@ -290,16 +290,6 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
 def _bucket(v1: float, eps: float) -> float:
     """v2, the power of (1+eps) at or below v1 > 0."""
     return (1.0 + eps) ** math.floor(math.log(v1) / math.log1p(eps))
-
-
-def _incidences(obj: ObjectiveSpec) -> int:
-    """The entries, beyond the point's n, that a gradient of obj touches:
-    coverage incidences, arcs, or every sampled set's n coordinates."""
-    if obj.kind == COVERAGE:
-        return obj.elems.size
-    if obj.kind == DIRECTED_CUT:
-        return obj.tail.size
-    return obj.samples * obj.n if obj.kind == SAMPLED else 0
 
 
 def _initial_point(pm, n, eps, D, scale) -> np.ndarray:

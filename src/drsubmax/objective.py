@@ -34,6 +34,11 @@ DIRECTED_CUT = "directed-cut"
 LINEAR = "linear"
 SAMPLED = "sampled-set-function"
 
+# the _copies kept besides the newest hold at most this many entries
+# (rows * (n + incidences)): the matroid run-ahead's few batch sizes fit,
+# while a packing ladder, whose live count only falls, keeps about one
+COPIES_KEPT_ENTRIES = 1 << 14
+
 
 @dataclass
 class ObjectiveSpec:
@@ -61,9 +66,9 @@ class ObjectiveSpec:
     set_fn: Optional[Callable] = None
     samples: int = 10_000
     seed: int = 0
-    # the last _copies(k) with k > 1, kept while a batch keeps its size
-    _batch: Optional["ObjectiveSpec"] = field(default=None, init=False,
-                                              repr=False, compare=False)
+    # _copies(k) by k > 1, oldest first
+    _batches: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     # -- constructors -----------------------------------------------------
 
@@ -142,12 +147,20 @@ class ObjectiveSpec:
         """k disjoint copies of this closed form, as one objective on k * n
         elements: copy j's elements are j * n .. j * n + n - 1.
 
-        The result is kept until a call with another k > 1 replaces it.
+        The sizes built last are kept, within COPIES_KEPT_ENTRIES entries
+        besides the newest.
         """
         if k == 1:
             return self
-        if self._batch is not None and self._batch.n == k * self.n:
-            return self._batch
+        batch = self._batches.get(k)
+        if batch is None:
+            batch = self._batches[k] = self._build_copies(k)
+            row = self.n + self._incidences()
+            while (sum(self._batches) - k) * row > COPIES_KEPT_ENTRIES:
+                del self._batches[next(iter(self._batches))]
+        return batch
+
+    def _build_copies(self, k: int) -> "ObjectiveSpec":
         shift = np.arange(k)[:, None]
         offset = {}
         if self.kind == COVERAGE:
@@ -157,9 +170,17 @@ class ObjectiveSpec:
             offset = {"tail": self.n, "head": self.n}
         arrays = {name: (getattr(self, name) + size * shift).ravel()
                   for name, size in offset.items()}
-        self._batch = replace(self, n=k * self.n,
-                              weights=np.tile(self.weights, k), **arrays)
-        return self._batch
+        return replace(self, n=k * self.n, weights=np.tile(self.weights, k),
+                       **arrays)
+
+    def _incidences(self) -> int:
+        """The entries, beyond the point's n, that a gradient touches:
+        coverage incidences, arcs, or every sampled set's n coordinates."""
+        if self.kind == COVERAGE:
+            return self.elems.size
+        if self.kind == DIRECTED_CUT:
+            return self.tail.size
+        return self.samples * self.n if self.kind == SAMPLED else 0
 
     def _sample_matrix(self, x: np.ndarray) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
@@ -242,7 +263,10 @@ class ObjectiveSpec:
 
     def _clamped_grad(self, X: np.ndarray) -> np.ndarray:
         """Gradient at X clamped at 1, with 0 where X is above 1; X is a
-        checked vector or (k, n) matrix."""
+        checked vector or (k, n) matrix.  Below 1 that is the interior
+        gradient."""
+        if np.maximum.reduce(X, axis=None, initial=0.0) < 1.0:
+            return self._interior_grad(X)
         clamped = np.minimum(X, 1.0)
         if self.kind == COVERAGE and np.count_nonzero(clamped == 1.0):
             k = 1 if X.ndim == 1 else X.shape[0]

@@ -181,9 +181,12 @@ class _Live(SimpleNamespace):
 
     pos: where each guess stands in `guesses`; M: the guess; target: the
     value that ends it as converged; lam_floor: the floor of the monotone
-    lambda; tol: the slack of its gain-rate invariant; c_floor: gradient
-    entries at most this get no update; X, Z, AZ, t, P, fx: x, z, A z,
-    smax(A z), smax_grad(A z) and F(x); exp_t, exp_neg_t:
+    lambda; tol and gain_tol: the slacks of its gain-rate invariant and of
+    its gain recurrence; c_floor: gradient entries at most this get no
+    update; inf: rows of +inf, copied as the multiplier's ratio where the
+    gradient is at most c_floor; X, Z, AZ, t, P, fx: x, z, A z, smax(A z),
+    smax_grad(A z) and F(x); below: fx <= target, the mask both the
+    exhaustion test and the next convergence test read; exp_t, exp_neg_t:
     exp(t) and exp(-t), for the non-monotone rules; coord_updates: the
     multipliers summed per coordinate.  A plain namespace: generating a
     dataclass of these fields costs about a millisecond at import.
@@ -205,9 +208,18 @@ def _solve(obj, inst, eps, guesses, monotone, max_iterations,
     The start point goes through the checked `eval_many`, `smax` and
     `smax_grad`, a converged guess through `smax`; each iteration calls the
     unchecked kernels (one softmax) on the state built from there.
+
+    With a few guesses of a few coordinates each, an iteration costs its
+    number of numpy calls, so the loop makes few: the constants are
+    computed once per solve or per guess, one `fx <= target` mask serves
+    the exhaustion test and the next convergence test, and a test that is
+    an AND of two masks (gain rate, exhaustion) first counts the half that
+    is rarely true, and builds the AND only when that half fires.  Every
+    test decides on the float comparisons it always made.
     """
     check_dimensions(obj.n, inst.n)
     A = inst.A
+    A_T = A.T
     m, n = inst.m, inst.n
     if monotone and not figure1_lambda:
         eta = eps / (2.0 * (2.0 + _lnm(m)))
@@ -222,18 +234,27 @@ def _solve(obj, inst, eps, guesses, monotone, max_iterations,
         floor_k = 0.0  # the non-monotone lambda is never clamped
         target_k = math.exp(-1.0 - 10.0 * eps)
     max_iters = cap if max_iterations is None else max_iterations
+    eta_up = 1.0 + eta  # the gradient is taken at (1 + eta) x
+    t_limit = 1.0 - eps + 1e-9  # the potential budget
+    two_eps = 2.0 * eps
+    gain_k = 1.0 - 2.0 * math.e * eps  # the gain recurrence's rate / M
+    x_k = 1.0 + eps  # the ||x||_inf bound / (1 - e^-t)
 
     # the potential is t = smax(Az): z is x itself for the monotone variant
     # and the undamped companion of x for the non-monotone one
     M = np.array(guesses, dtype=float)
     X = np.tile(_start_point(inst, eps), (M.size, 1))
-    AZ = X @ A.T
+    AZ = X @ A_T
     t = smax(AZ, eta)
-    s = _Live(pos=np.arange(M.size), M=M, target=target_k * M,
+    fx = obj.eval_many(X)
+    target = target_k * M
+    s = _Live(pos=np.arange(M.size), M=M, target=target,
               lam_floor=floor_k * M, tol=1e-9 * np.maximum(M, 1.0),
-              c_floor=1e-15 * M[:, None], X=X, Z=X, AZ=AZ, t=t,
-              P=smax_grad(AZ, eta), exp_t=np.exp(t), exp_neg_t=np.exp(-t),
-              fx=obj.eval_many(X), coord_updates=np.zeros(X.shape))
+              gain_tol=1e-9 * M, c_floor=1e-15 * M[:, None],
+              inf=np.full(X.shape, np.inf), X=X, Z=X, AZ=AZ, t=t,
+              P=smax_grad(AZ, eta), fx=fx, below=fx <= target,
+              exp_t=np.exp(t), exp_neg_t=np.exp(-t),
+              coord_updates=np.zeros(X.shape))
 
     reports = [None] * M.size
     notes = [[] for _ in range(M.size)]
@@ -252,7 +273,7 @@ def _solve(obj, inst, eps, guesses, monotone, max_iterations,
                     f"lambda clamped at its floor from iteration {clamp_iter[k]}")
             _budget_notes(s.coord_updates[i], s.X[i], n, eps, eta, notes[k])
         X_done, fx_done = s.X[rows], s.fx[rows]
-        AX = X_done @ A.T
+        AX = X_done @ A_T
         ax_inf = AX.max(axis=1)
         feasible = ax_inf <= 1.0 - 2.0 * eps + 1e-9
         if termination == CONVERGED:
@@ -274,9 +295,8 @@ def _solve(obj, inst, eps, guesses, monotone, max_iterations,
         s.keep(~rows)
 
     while True:
-        done = ~(s.fx <= s.target)
-        if np.count_nonzero(done):
-            stop(done, CONVERGED)
+        if np.count_nonzero(s.below) < s.pos.size:
+            stop(~s.below, CONVERGED)
         if not s.pos.size:
             break
         if iters >= max_iters:
@@ -286,15 +306,15 @@ def _solve(obj, inst, eps, guesses, monotone, max_iterations,
             if figure1_lambda:
                 lam = s.M
             else:
-                lam = s.M - (1.0 + eta) * s.fx
+                lam = s.M - eta_up * s.fx
                 clamped = lam < s.lam_floor
                 if np.count_nonzero(clamped):
                     lam = np.where(clamped, s.lam_floor, lam)
                     k = s.pos[clamped]
                     clamp_iter[k] = np.minimum(clamp_iter[k], iters)
-            c = obj._clamped_grad((1.0 + eta) * s.X)
+            c = obj._clamped_grad(eta_up * s.X)
         else:
-            lam = s.M * (s.exp_neg_t - 2.0 * eps) - s.fx
+            lam = s.M * (s.exp_neg_t - two_eps) - s.fx
             rejected = lam <= 0.0
             if np.count_nonzero(rejected):
                 stop(rejected, GUESS_REJECTED,
@@ -303,41 +323,45 @@ def _solve(obj, inst, eps, guesses, monotone, max_iterations,
                 lam = lam[~rejected]
                 if not s.pos.size:
                     break
-            c = np.maximum((1.0 - s.X) * obj._clamped_grad((1.0 + eta) * s.X),
-                           0.0)
-        score = s.P @ A
-        live = c > s.c_floor
-        # (lam * score) / c where live; 1 - inf clamps to 0 elsewhere
-        mvec = np.maximum(1.0 - np.divide(lam[:, None] * score, c,
-                                          out=np.full(c.shape, np.inf),
-                                          where=live), 0.0)
+            comp = 1.0 - s.X
+            c = np.maximum(comp * obj._clamped_grad(eta_up * s.X), 0.0)
+        # max(1 - (lam * score) / c, 0); 0 where c <= c_floor, whose ratio
+        # stays +inf
+        mvec = np.divide(lam[:, None] * (s.P @ A), c, out=s.inf.copy(),
+                         where=c > s.c_floor)
+        np.subtract(1.0, mvec, out=mvec)
+        np.maximum(mvec, 0.0, out=mvec)
         d = eta * s.X * mvec
-        stuck = d.sum(axis=1) <= 0.0
+        stuck = np.add.reduce(d, axis=1) <= 0.0
         if np.count_nonzero(stuck):
             stop(stuck, GUESS_REJECTED,
                  lambda i: f"iteration {iters}: zero update direction")
             lam, mvec, d = lam[~stuck], mvec[~stuck], d[~stuck]
+            if not monotone:
+                comp = comp[~stuck]
             if not s.pos.size:
                 break
         if monotone:
             X_new = Z_new = s.X + d
         else:
-            X_new = s.X + d * (1.0 - s.X)
+            X_new = s.X + d * comp
             Z_new = s.Z + d
         fx_new = obj._values(X_new)
-        AZ_new = Z_new @ A.T
+        AZ_new = Z_new @ A_T
         t_new, P_new = _smax_dist(AZ_new, eta)
         dt = t_new - s.t
-        short = (t_new > s.t + 1e-12) & (fx_new - s.fx < lam * dt - s.tol)
+        short = fx_new - s.fx < lam * dt - s.tol  # rarely true
         if np.count_nonzero(short):
-            i = np.flatnonzero(short)[0]
-            rate = (fx_new[i] - s.fx[i]) / dt[i]
-            raise InvariantViolation(
-                f"gain rate {rate:.6g} below lambda {lam[i]:.6g}")
+            short &= t_new > s.t + 1e-12
+            if np.count_nonzero(short):
+                i = np.flatnonzero(short)[0]
+                rate = (fx_new[i] - s.fx[i]) / dt[i]
+                raise InvariantViolation(
+                    f"gain rate {rate:.6g} below lambda {lam[i]:.6g}")
         if not monotone:
             exp_t_new, exp_neg_t_new = np.exp(t_new), np.exp(-t_new)
-            bound = (1.0 + eps) * (1.0 - exp_neg_t_new)
-            x_max = X_new.max(axis=1)
+            bound = x_k * (1.0 - exp_neg_t_new)
+            x_max = np.maximum.reduce(X_new, axis=1)
             over = x_max > bound + 1e-9
             if np.count_nonzero(over):
                 i = np.flatnonzero(over)[0]
@@ -345,9 +369,8 @@ def _solve(obj, inst, eps, guesses, monotone, max_iterations,
                     f"||x||_inf = {x_max[i]:.6g} exceeds "
                     f"(1+eps)(1-e^-t) = {bound[i]:.6g}")
             gain_lhs = exp_t_new * fx_new
-            gain_rhs = ((1.0 - 2.0 * math.e * eps) * dt * s.M
-                        + s.exp_t * s.fx)
-            short = gain_lhs < gain_rhs - 1e-9 * s.M
+            gain_rhs = gain_k * dt * s.M + s.exp_t * s.fx
+            short = gain_lhs < gain_rhs - s.gain_tol
             if np.count_nonzero(short):
                 for i in np.flatnonzero(short):
                     if s.pos[i] not in gain_note:
@@ -358,15 +381,18 @@ def _solve(obj, inst, eps, guesses, monotone, max_iterations,
             s.exp_t, s.exp_neg_t = exp_t_new, exp_neg_t_new
         s.coord_updates += mvec
         s.X, s.Z, s.AZ, s.t, s.P, s.fx = X_new, Z_new, AZ_new, t_new, P_new, fx_new
+        s.below = fx_new <= s.target
         iters += 1
         # a valid guess keeps the potential <= 1-eps until the last
         # iteration, so spending the whole budget short of the value
         # target certifies M > f(x*)
-        exhausted = (s.fx <= s.target) & (s.t > 1.0 - eps + 1e-9)
+        exhausted = t_new > t_limit  # rarely true
         if np.count_nonzero(exhausted):
-            stop(exhausted, GUESS_REJECTED,
-                 lambda i: f"iteration {iters}: potential {s.t[i]:.6g} "
-                           "exhausted before the value target")
+            exhausted &= s.below
+            if np.count_nonzero(exhausted):
+                stop(exhausted, GUESS_REJECTED,
+                     lambda i: f"iteration {iters}: potential {s.t[i]:.6g} "
+                               "exhausted before the value target")
     return reports
 
 

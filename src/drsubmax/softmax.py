@@ -49,8 +49,11 @@ def smax_grad(z, eta: float) -> np.ndarray:
 
 def _smax_dist(z: np.ndarray, eta: float):
     """(smax, smax_grad) of each row of a checked z (a vector or a (k, m)
-    matrix), from one exponential of the max-shifted rows."""
-    zmax = z.max(axis=-1)
-    w = np.exp((z - zmax[..., None]) / eta)
-    total = w.sum(axis=-1)
-    return zmax + eta * np.log(total), w / total[..., None]
+    matrix), from one exponential of the max-shifted rows, computed in
+    place in one buffer."""
+    zmax = np.maximum.reduce(z, axis=-1)
+    w = z - zmax[..., None]
+    np.divide(w, eta, out=w)
+    np.exp(w, out=w)
+    total = np.add.reduce(w, axis=-1)
+    return zmax + eta * np.log(total), np.divide(w, total[..., None], out=w)

@@ -9,6 +9,8 @@ watches a solve from outside, through the objective's value kernel.
 `stepwise_matroid_solve` is the matroid loop without its run-ahead, one
 step per iteration on the package's private kernels: the reference the
 solver's batched steps must match byte for byte.
+`reference_packing_solve` is the packing loop with every test's full mask
+built every iteration, the reference for the loop's two-stage tests.
 """
 
 import math
@@ -18,6 +20,7 @@ from itertools import product
 import numpy as np
 
 from drsubmax import ObjectiveSpec, PolymatroidInstance, smax, smax_grad
+from drsubmax import packing_solver as ps
 from drsubmax.matroid_solver import _initial_point, iteration_budget
 from drsubmax.polymatroid import TIGHT_TOL
 from drsubmax.report import (CONVERGED, GUESS_REJECTED, ITERATION_CAP,
@@ -317,3 +320,176 @@ def stepwise_matroid_solve(obj: ObjectiveSpec, pm: PolymatroidInstance, cfg,
         solution=z, value=value, epochs=epochs, inner_iterations=total_inner,
         adaptive_rounds=rounds, feasible=feasible, guess_used=M,
         termination=termination, slack=pm.slack(z), notes=notes)
+
+
+def reference_packing_solve(obj: ObjectiveSpec, inst, eps, guesses,
+                            monotone, max_iterations,
+                            figure1_lambda=False) -> list:
+    """The packing loop as it was before its tests were reordered to make
+    fewer numpy calls: each test builds its full mask every iteration.
+    Same arguments and reports as `ps._solve`, whose kernels
+    (`_values`, `_clamped_grad`, `_smax_dist`) it calls through their
+    modules, so a test that replaces one replaces it for both."""
+    check_dimensions(obj.n, inst.n)
+    A = inst.A
+    m, n = inst.m, inst.n
+    if monotone and not figure1_lambda:
+        eta = eps / (2.0 * (2.0 + ps._lnm(m)))
+    else:
+        eta = eps / (2.0 * ps._lnm(m))
+    if monotone:
+        cap = ps.iteration_cap_monotone(n, m, eps)
+        floor_k = math.exp(10.0 * eps - 1.0) - eta  # lambda floor / M
+        target_k = 1.0 - math.exp(-1.0 + 10.0 * eps)  # value target / M
+    else:
+        cap = ps.iteration_cap_nonmonotone(n, m, eps)
+        floor_k = 0.0  # the non-monotone lambda is never clamped
+        target_k = math.exp(-1.0 - 10.0 * eps)
+    max_iters = cap if max_iterations is None else max_iterations
+
+    # the potential is t = smax(Az): z is x itself for the monotone variant
+    # and the undamped companion of x for the non-monotone one
+    M = np.array(guesses, dtype=float)
+    X = np.tile(ps._start_point(inst, eps), (M.size, 1))
+    AZ = X @ A.T
+    t = smax(AZ, eta)
+    s = ps._Live(pos=np.arange(M.size), M=M, target=target_k * M,
+                 lam_floor=floor_k * M, tol=1e-9 * np.maximum(M, 1.0),
+                 c_floor=1e-15 * M[:, None], X=X, Z=X, AZ=AZ, t=t,
+                 P=smax_grad(AZ, eta), exp_t=np.exp(t), exp_neg_t=np.exp(-t),
+                 fx=obj.eval_many(X), coord_updates=np.zeros(X.shape))
+
+    reports = [None] * M.size
+    notes = [[] for _ in range(M.size)]
+    clamp_iter = np.full(M.size, np.iinfo(np.int64).max)  # first clamp
+    gain_note = set()  # guesses with a gain-recurrence note
+    iters = 0
+
+    def stop(rows, termination, note=None):
+        """Report the guesses at `rows` with `termination`; drop them."""
+        for i in np.flatnonzero(rows):
+            k = s.pos[i]
+            if note is not None:
+                notes[k].append(note(i))
+            if clamp_iter[k] < iters - 1:
+                notes[k].append(
+                    f"lambda clamped at its floor from iteration {clamp_iter[k]}")
+            ps._budget_notes(s.coord_updates[i], s.X[i], n, eps, eta,
+                             notes[k])
+        X_done, fx_done = s.X[rows], s.fx[rows]
+        AX = X_done @ A.T
+        ax_inf = AX.max(axis=1)
+        feasible = ax_inf <= 1.0 - 2.0 * eps + 1e-9
+        if termination == CONVERGED:
+            s_final = smax(AX, eta)
+            bad = s_final > 1.0 - 2.0 * eps + 1e-9
+            if np.count_nonzero(bad):
+                raise InvariantViolation(f"converged with smax "
+                                         f"{s_final[bad][0]:.6g} > 1 - 2*eps")
+        for j, (k, x) in enumerate(zip(s.pos[rows], X_done)):
+            if termination != CONVERGED and not feasible[j]:
+                notes[k].append(f"final ||Ax||_inf = {ax_inf[j]:.6g} "
+                                "exceeds 1 - 2*eps")
+            reports[k] = SolveReport(
+                solution=x.copy(), value=float(fx_done[j]), epochs=1,
+                inner_iterations=iters, adaptive_rounds=1 + iters,
+                feasible=bool(feasible[j]), guess_used=float(M[k]),
+                termination=termination, slack=float(ax_inf[j]),
+                notes=notes[k])
+        s.keep(~rows)
+
+    while True:
+        done = ~(s.fx <= s.target)
+        if np.count_nonzero(done):
+            stop(done, CONVERGED)
+        if not s.pos.size:
+            break
+        if iters >= max_iters:
+            stop(np.ones(s.pos.size, dtype=bool), ITERATION_CAP)
+            break
+        if monotone:
+            if figure1_lambda:
+                lam = s.M
+            else:
+                lam = s.M - (1.0 + eta) * s.fx
+                clamped = lam < s.lam_floor
+                if np.count_nonzero(clamped):
+                    lam = np.where(clamped, s.lam_floor, lam)
+                    k = s.pos[clamped]
+                    clamp_iter[k] = np.minimum(clamp_iter[k], iters)
+            c = obj._clamped_grad((1.0 + eta) * s.X)
+        else:
+            lam = s.M * (s.exp_neg_t - 2.0 * eps) - s.fx
+            rejected = lam <= 0.0
+            if np.count_nonzero(rejected):
+                stop(rejected, GUESS_REJECTED,
+                     lambda i: f"iteration {iters}: lambda = {lam[i]:.6g} <= 0 "
+                               "(guess/time inconsistency)")
+                lam = lam[~rejected]
+                if not s.pos.size:
+                    break
+            c = np.maximum((1.0 - s.X) * obj._clamped_grad((1.0 + eta) * s.X),
+                           0.0)
+        score = s.P @ A
+        live = c > s.c_floor
+        # (lam * score) / c where live; 1 - inf clamps to 0 elsewhere
+        mvec = np.maximum(1.0 - np.divide(lam[:, None] * score, c,
+                                          out=np.full(c.shape, np.inf),
+                                          where=live), 0.0)
+        d = eta * s.X * mvec
+        stuck = d.sum(axis=1) <= 0.0
+        if np.count_nonzero(stuck):
+            stop(stuck, GUESS_REJECTED,
+                 lambda i: f"iteration {iters}: zero update direction")
+            lam, mvec, d = lam[~stuck], mvec[~stuck], d[~stuck]
+            if not s.pos.size:
+                break
+        if monotone:
+            X_new = Z_new = s.X + d
+        else:
+            X_new = s.X + d * (1.0 - s.X)
+            Z_new = s.Z + d
+        fx_new = obj._values(X_new)
+        AZ_new = Z_new @ A.T
+        t_new, P_new = ps._smax_dist(AZ_new, eta)
+        dt = t_new - s.t
+        short = (t_new > s.t + 1e-12) & (fx_new - s.fx < lam * dt - s.tol)
+        if np.count_nonzero(short):
+            i = np.flatnonzero(short)[0]
+            rate = (fx_new[i] - s.fx[i]) / dt[i]
+            raise InvariantViolation(
+                f"gain rate {rate:.6g} below lambda {lam[i]:.6g}")
+        if not monotone:
+            exp_t_new, exp_neg_t_new = np.exp(t_new), np.exp(-t_new)
+            bound = (1.0 + eps) * (1.0 - exp_neg_t_new)
+            x_max = X_new.max(axis=1)
+            over = x_max > bound + 1e-9
+            if np.count_nonzero(over):
+                i = np.flatnonzero(over)[0]
+                raise InvariantViolation(
+                    f"||x||_inf = {x_max[i]:.6g} exceeds "
+                    f"(1+eps)(1-e^-t) = {bound[i]:.6g}")
+            gain_lhs = exp_t_new * fx_new
+            gain_rhs = ((1.0 - 2.0 * math.e * eps) * dt * s.M
+                        + s.exp_t * s.fx)
+            short = gain_lhs < gain_rhs - 1e-9 * s.M
+            if np.count_nonzero(short):
+                for i in np.flatnonzero(short):
+                    if s.pos[i] not in gain_note:
+                        gain_note.add(s.pos[i])
+                        notes[s.pos[i]].append(
+                            f"iteration {iters}: exponential-gain recurrence "
+                            f"short by {gain_rhs[i] - gain_lhs[i]:.3g}")
+            s.exp_t, s.exp_neg_t = exp_t_new, exp_neg_t_new
+        s.coord_updates += mvec
+        s.X, s.Z, s.AZ, s.t, s.P, s.fx = X_new, Z_new, AZ_new, t_new, P_new, fx_new
+        iters += 1
+        # a valid guess keeps the potential <= 1-eps until the last
+        # iteration, so spending the whole budget short of the value
+        # target certifies M > f(x*)
+        exhausted = (s.fx <= s.target) & (s.t > 1.0 - eps + 1e-9)
+        if np.count_nonzero(exhausted):
+            stop(exhausted, GUESS_REJECTED,
+                 lambda i: f"iteration {iters}: potential {s.t[i]:.6g} "
+                           "exhausted before the value target")
+    return reports

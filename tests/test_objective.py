@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drsubmax.objective import ObjectiveSpec
+from drsubmax.objective import COPIES_KEPT_ENTRIES, ObjectiveSpec
 
 from oracles import finite_diff_grad, multilinear_enumeration
 
@@ -246,6 +246,60 @@ def test_interior_kernels_are_the_clamped_ones_below_one(case):
     assert obj._interior_grad(x).tobytes() == obj._clamped_grad(x).tobytes()
     assert (obj._interior_values(x[None]).tobytes()
             == obj._values(x[None]).tobytes())
+
+
+def test_batched_objectives_kept_for_recurring_sizes(monkeypatch):
+    # the matroid run-ahead's batch sizes recur: each is built once.  A
+    # packing ladder's live count only falls: what is kept besides the
+    # newest stays within the bound
+    built = []
+    build = ObjectiveSpec._build_copies
+    monkeypatch.setattr(ObjectiveSpec, "_build_copies",
+                        lambda self, k: built.append(k) or build(self, k))
+    rng = np.random.default_rng(3)
+    obj = ObjectiveSpec.directed_cut(16, [(int(u), int(v), 1.0) for u, v in
+                                          rng.integers(0, 16, (60, 2))
+                                          if u != v])
+    row = obj.n + obj._incidences()
+    sizes = [4, 8, 16, 32, 64, 48, 44]
+    for k in sizes * 3:
+        assert obj._copies(k).n == k * obj.n
+    assert built == sizes
+    assert (sum(obj._batches) - 44) * row <= COPIES_KEPT_ENTRIES
+    for k in range(300, 1, -1):
+        G = obj.grad_many(rng.uniform(0, 0.9, size=(k, obj.n)))
+        assert list(obj._batches)[-1] == k and G.shape == (k, obj.n)
+        assert (sum(obj._batches) - k) * row <= COPIES_KEPT_ENTRIES
+    assert obj._copies(1) is obj
+
+
+def clamped_grad_reference(obj, X):
+    """The clamped gradient as clamp at 1, interior or coverage's
+    zero-complement gradient, then 0 above 1, whatever the entries."""
+    clamped = np.minimum(X, 1.0)
+    if obj.kind == "coverage" and np.count_nonzero(clamped == 1.0):
+        k = 1 if X.ndim == 1 else X.shape[0]
+        g = obj._copies(k)._coverage_grad_at_ones(
+            clamped.ravel()).reshape(X.shape)
+    else:
+        g = obj._interior_grad(clamped)
+    g[X > 1.0] = 0.0
+    return g
+
+
+@given(closed_forms(), st.integers(0, 5), st.data())
+@settings(max_examples=300, deadline=None)
+def test_clamped_grad_shortcut_is_the_composition(obj, k, data):
+    # below 1 the kernel returns the interior gradient at once; at and
+    # above 1 it clamps, and coverage counts its zero complements
+    entry = st.one_of(st.sampled_from([0.0, 1.0, np.nextafter(1.0, 0.0),
+                                       np.nextafter(1.0, 2.0), 1.5]),
+                      st.floats(0.0, 2.0))
+    shape = (k, obj.n) if k else (obj.n,)
+    X = np.array(data.draw(st.lists(entry, min_size=max(k, 1) * obj.n,
+                                    max_size=max(k, 1) * obj.n))).reshape(shape)
+    assert (obj._clamped_grad(X).tobytes()
+            == clamped_grad_reference(obj, X).tobytes())
 
 
 def test_batch_oracles_check_their_input():

@@ -1,4 +1,7 @@
+import json
 import math
+import re
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -8,12 +11,14 @@ from hypothesis import strategies as st
 from drsubmax import (ObjectiveSpec, PackingSolverConfig, add_box_rows,
                       grid_fractional_opt, normalize_packing,
                       solve_packing_monotone, solve_packing_nonmonotone)
+from drsubmax import packing_solver
 from drsubmax.matroid_solver import iteration_budget
 from drsubmax.packing_solver import (iteration_cap_monotone,
                                      iteration_cap_nonmonotone)
-from drsubmax.report import CONVERGED, GUESS_REJECTED, ITERATION_CAP
+from drsubmax.report import (CONVERGED, GUESS_REJECTED, ITERATION_CAP,
+                             InvariantViolation)
 
-from oracles import recorded_iterates
+from oracles import recorded_iterates, reference_packing_solve
 
 EPS = 0.05
 
@@ -283,3 +288,158 @@ def test_random_packing_solves_keep_their_invariants(case):
     if obj.monotone:  # F is non-decreasing along the iterates
         values = [obj.eval(x) for x in iterates]
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+@st.composite
+def loop_cases(draw):
+    """(objective, instance, guesses, monotone, figure1_lambda) with n <= 5,
+    m <= 3: linear, coverage or cut; a column may be pinned to 0; the
+    guesses are 1-4 multiples of an upper bound on the optimum, so some
+    converge and some are rejected."""
+    kind = draw(st.sampled_from(["linear", "coverage", "cut"]))
+    n = draw(st.integers(2 if kind == "cut" else 1, 5))
+    m = draw(st.integers(1, 3))
+    A = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(0.05, 3.0)),
+                               min_size=m * n, max_size=m * n))).reshape(m, n)
+    A[0, ~A.any(axis=0)] = 1.0  # every column needs a nonzero entry
+    if draw(st.booleans()):  # an entry above n/eps pins its column to 0
+        A[draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))] = 1e3 * n / EPS
+    inst = normalize_packing(A, EPS)
+    weights = st.floats(0.5, 2.0)
+    if kind == "linear":
+        obj = ObjectiveSpec.linear(draw(st.lists(weights, min_size=n,
+                                                 max_size=n)))
+    elif kind == "coverage":
+        u = draw(st.integers(1, 5))
+        covers = draw(st.lists(st.lists(st.integers(0, u - 1), min_size=1,
+                                        max_size=3), min_size=n, max_size=n))
+        obj = ObjectiveSpec.coverage(draw(st.lists(weights, min_size=u,
+                                                   max_size=u)), covers)
+    else:
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)),
+                              min_size=1, max_size=2 * n))
+        obj = ObjectiveSpec.directed_cut(
+            n, [(u, v, draw(weights)) for u, v in pairs if u != v])
+    monotone = obj.monotone and draw(st.booleans())
+    if not monotone:
+        inst = add_box_rows(inst)
+    top = max(obj.eval(np.ones(n)), obj.weights.sum() if kind == "cut" else 0,
+              1e-3)
+    guesses = draw(st.lists(st.floats(0.05, 3.0), min_size=1, max_size=4))
+    return (obj, inst, [g * top for g in guesses], monotone,
+            monotone and draw(st.booleans()))
+
+
+def _loop_outcomes(obj, inst, guesses, monotone, cap, figure1, faults=()):
+    """(solver, reference): each one's reports as JSON and solution bytes,
+    or the type and message of what it raised; every run gets its own
+    fresh `faults`."""
+    def outcome(solve):
+        try:
+            with _faulty_kernels(faults):
+                reports = solve(obj, inst, EPS, guesses, monotone, cap,
+                                figure1)
+        except (ValueError, InvariantViolation) as exc:
+            return type(exc).__name__, str(exc)
+        return [json.dumps(r.to_dict(), sort_keys=True).encode()
+                + r.solution.tobytes() for r in reports]
+    return outcome(packing_solver._solve), outcome(reference_packing_solve)
+
+
+@given(loop_cases(), st.sampled_from([0, 1, 2, 3, 5, 13, 5000]))
+@settings(max_examples=60, deadline=None)
+def test_loop_matches_the_reference_loop(case, cap):
+    # the two-stage tests stop, reject and raise where the full masks do:
+    # both variants, several guesses, pinned columns, caps inside a run
+    got, want = _loop_outcomes(*case[:4], cap, case[4])
+    assert got == want
+
+
+# -- fault-injected kernels ------------------------------------------------
+#
+# A fault is (kernel, iteration, amount, once): from that iteration on (at
+# it alone if once), "values" scales what ObjectiveSpec._values returns by
+# amount, and "smax" adds amount to the potential the loop's _smax_dist
+# returns.  _values is called once at the start point and then once per
+# iteration, _smax_dist once per iteration.
+
+@contextmanager
+def _faulty_kernels(faults):
+    values, smax = ObjectiveSpec._values, packing_solver._smax_dist
+    calls = {"values": -2, "smax": -1}  # the iteration of the last call
+
+    def hit(kernel):
+        calls[kernel] += 1
+        return [amount for k, at, amount, once in faults if k == kernel
+                and (calls[kernel] == at if once else calls[kernel] >= at)]
+
+    def faulty_values(self, X):
+        v = values(self, X)
+        for amount in hit("values"):
+            v = v * amount
+        return v
+
+    def faulty_smax(z, eta):
+        t, P = smax(z, eta)
+        for amount in hit("smax"):
+            t = t + amount
+        return t, P
+    ObjectiveSpec._values = faulty_values
+    packing_solver._smax_dist = faulty_smax
+    try:
+        yield
+    finally:
+        ObjectiveSpec._values, packing_solver._smax_dist = values, smax
+
+
+@pytest.mark.parametrize("faults, scale, fired", [
+    # a value that drops: the gain-rate invariant raises
+    ([("values", 4, 0.5, True)], 1.0, "gain rate -.* below lambda"),
+    # a potential that overshoots: the gain-rate invariant raises
+    ([("smax", 4, 0.01, True)], 1.0, "gain rate .* below lambda"),
+    # a potential that falls short: the ||x||_inf bound raises
+    ([("smax", 4, -0.05, True)], 1.0, r"\|\|x\|\|_inf = .* exceeds"),
+    # a value that drops as the potential falls: no gain-rate test, since
+    # the potential does not rise; the gain recurrence notes it
+    ([("smax", 4, -0.001, True), ("values", 4, 0.5, True)], 1.0,
+     "iteration 4: exponential-gain recurrence short"),
+    # at scale 1e-8 and below, the gain-rate slack of 1e-9 hides a dropped
+    # value or an overshoot, and the gain recurrence notes it
+    ([("values", 4, 0.5, True)], 1e-8,
+     "iteration 4: exponential-gain recurrence short"),
+    ([("smax", 200, 1.0, True)], 1e-10,
+     "iteration 200: exponential-gain recurrence short"),
+    # a potential past its budget short of the value target: rejected
+    ([("smax", 100, 1.0, False)], 1e-10,
+     "iteration 101: potential .* exhausted"),
+    # and as the value passes the target: converged, not rejected
+    ([("smax", 100, 1.0, False), ("values", 100, 100.0, False)], 1.0,
+     '"termination": "converged"'),
+], ids=["value-drops", "potential-overshoots", "potential-short",
+        "value-drops-as-potential-falls", "recurrence-value", "recurrence-potential", "exhausted",
+        "converged-over-budget"])
+def test_faults_fire_as_in_the_reference_loop(faults, scale, fired):
+    obj = ObjectiveSpec.directed_cut(3, [(0, 1, scale), (1, 2, scale)])
+    inst = add_box_rows(normalize_packing(np.eye(3), EPS))
+    got, want = _loop_outcomes(obj, inst, [scale], False, 3000, False,
+                               faults)
+    assert got == want
+    text = " ".join(got) if isinstance(got, tuple) else got[0].decode(
+        "latin-1")
+    assert re.search(fired, text)
+
+
+@given(loop_cases(), st.lists(st.tuples(
+    st.sampled_from(["values", "smax"]), st.sampled_from([0, 1, 2, 5, 40]),
+    st.sampled_from([-0.3, -0.01, -1e-3, 1e-4, 0.01, 0.3, 1.0, 0.5, 0.99,
+                     1.5]),
+    st.booleans()), min_size=1, max_size=2), st.sampled_from([1.0, 1e-8]))
+@settings(max_examples=60, deadline=None)
+def test_faulty_kernels_give_the_reference_outcome(case, faults, scale):
+    obj, inst, guesses, monotone, figure1 = case
+    faults = [(k, at, amount, once) for k, at, amount, once in faults
+              if k == "smax" or amount > 0]
+    got, want = _loop_outcomes(obj, inst, [g * scale for g in guesses],
+                               monotone, 3000, figure1, faults)
+    assert got == want

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drsubmax.polymatroid import TIGHT_TOL, PolymatroidInstance
+from drsubmax.polymatroid import (BOOL_PRODUCT_ENTRIES, TIGHT_TOL,
+                                  PolymatroidInstance)
 
 from oracles import exchange_vector, membership_bruteforce
 
@@ -260,6 +261,43 @@ def test_mask_and_row_helpers_match_the_references(case):
     assert (np.array(steps, dtype=float) == y[raised]).all()
     for i in range(pm.n):  # r({i}) = 0 iff a set holding i has cap 0
         assert (pm.rank([i]) <= 0) == any(pm.caps[r] <= 0 for r in pm.rows_of[i])
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["partition", "laminar"]),
+       st.integers(0, 6))
+@settings(max_examples=40, deadline=None)
+def test_tight_mask_of_a_large_family(seed, kind, k):
+    # above BOOL_PRODUCT_ENTRIES the mask comes from a BLAS product: the
+    # mask of the boolean product, for one point or rows of points
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(60, 150))
+    cuts = np.sort(rng.choice(np.arange(1, n), size=n // 2, replace=False))
+    parts = [list(range(a, b)) for a, b in zip([0, *cuts], [*cuts, n])]
+    if kind == "partition":
+        pm = PolymatroidInstance.partition(
+            n, parts, rng.integers(0, 3, len(parts)).tolist())
+    else:  # the parts, their pairs and the ground set
+        sets = parts + [a + b for a, b in zip(parts[::2], parts[1::2])]
+        pm = PolymatroidInstance.laminar(
+            n, sets + [list(range(n))],
+            rng.integers(0, 4, len(sets) + 1).tolist())
+    assert pm.members.size > BOOL_PRODUCT_ENTRIES
+    eps = 0.05
+    scale = eps / (1 + eps)
+    X = rng.uniform(0, 0.2, size=(max(k, 1), n))
+    for i, x in enumerate(X):
+        x *= pm.fit_factor(x, scale) * (1.0 - 1e-12)
+        X[i] = x + pm.waterfill(x, range(n), eps)  # onto the boundary
+    X = X if k else X[0]
+    sums = X @ pm.incidence.T
+    lo, caps_lo = scale - TIGHT_TOL, scale * pm.caps - TIGHT_TOL
+    tight = pm._tight(X, sums, lo, caps_lo)
+    assert tight.dtype == bool and tight.shape == X.shape
+    assert (tight == ((X >= lo) | (sums >= caps_lo) @ pm.members)).all()
+    assert tight.any()
+    for x, row in zip(np.atleast_2d(X), np.atleast_2d(tight)):
+        assert (frozenset(np.flatnonzero(row).tolist())
+                == tight_set_reference(pm, x, scale))
 
 
 def exchange_case(pm, rng):
