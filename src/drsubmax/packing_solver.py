@@ -219,7 +219,6 @@ def _solve(obj, inst, eps, guesses, monotone, max_iterations,
     """
     check_dimensions(obj.n, inst.n)
     A = inst.A
-    A_T = A.T
     m, n = inst.m, inst.n
     if monotone and not figure1_lambda:
         eta = eps / (2.0 * (2.0 + _lnm(m)))
@@ -236,15 +235,13 @@ def _solve(obj, inst, eps, guesses, monotone, max_iterations,
     max_iters = cap if max_iterations is None else max_iterations
     eta_up = 1.0 + eta  # the gradient is taken at (1 + eta) x
     t_limit = 1.0 - eps + 1e-9  # the potential budget
-    two_eps = 2.0 * eps
     gain_k = 1.0 - 2.0 * math.e * eps  # the gain recurrence's rate / M
-    x_k = 1.0 + eps  # the ||x||_inf bound / (1 - e^-t)
 
     # the potential is t = smax(Az): z is x itself for the monotone variant
     # and the undamped companion of x for the non-monotone one
     M = np.array(guesses, dtype=float)
     X = np.tile(_start_point(inst, eps), (M.size, 1))
-    AZ = X @ A_T
+    AZ = X @ A.T
     t = smax(AZ, eta)
     fx = obj.eval_many(X)
     target = target_k * M
@@ -273,7 +270,7 @@ def _solve(obj, inst, eps, guesses, monotone, max_iterations,
                     f"lambda clamped at its floor from iteration {clamp_iter[k]}")
             _budget_notes(s.coord_updates[i], s.X[i], n, eps, eta, notes[k])
         X_done, fx_done = s.X[rows], s.fx[rows]
-        AX = X_done @ A_T
+        AX = X_done @ A.T
         ax_inf = AX.max(axis=1)
         feasible = ax_inf <= 1.0 - 2.0 * eps + 1e-9
         if termination == CONVERGED:
@@ -314,7 +311,7 @@ def _solve(obj, inst, eps, guesses, monotone, max_iterations,
                     clamp_iter[k] = np.minimum(clamp_iter[k], iters)
             c = obj._clamped_grad(eta_up * s.X)
         else:
-            lam = s.M * (s.exp_neg_t - two_eps) - s.fx
+            lam = s.M * (s.exp_neg_t - 2.0 * eps) - s.fx
             rejected = lam <= 0.0
             if np.count_nonzero(rejected):
                 stop(rejected, GUESS_REJECTED,
@@ -347,7 +344,7 @@ def _solve(obj, inst, eps, guesses, monotone, max_iterations,
             X_new = s.X + d * comp
             Z_new = s.Z + d
         fx_new = obj._values(X_new)
-        AZ_new = Z_new @ A_T
+        AZ_new = Z_new @ A.T
         t_new, P_new = _smax_dist(AZ_new, eta)
         dt = t_new - s.t
         short = fx_new - s.fx < lam * dt - s.tol  # rarely true
@@ -360,7 +357,7 @@ def _solve(obj, inst, eps, guesses, monotone, max_iterations,
                     f"gain rate {rate:.6g} below lambda {lam[i]:.6g}")
         if not monotone:
             exp_t_new, exp_neg_t_new = np.exp(t_new), np.exp(-t_new)
-            bound = x_k * (1.0 - exp_neg_t_new)
+            bound = (1.0 + eps) * (1.0 - exp_neg_t_new)
             x_max = np.maximum.reduce(X_new, axis=1)
             over = x_max > bound + 1e-9
             if np.count_nonzero(over):

@@ -35,10 +35,6 @@ LAMINAR = "laminar"
 # largest (sets or parts) * n accepted from an instance file: the family is
 # held as a dense incidence matrix, and building it walks every column
 MAX_POLYMATROID_ENTRIES = 1_000_000
-# largest sets * n whose tight mask comes from a boolean matrix product; a
-# larger family takes it from a BLAS product, which numpy does not use for
-# booleans (n = 1,000 with 250 sets: about 170 -> 35 us per call)
-BOOL_PRODUCT_ENTRIES = 1024
 
 
 @dataclass
@@ -48,8 +44,7 @@ class PolymatroidInstance:
     The rank is given by a laminar family of capacitated sets, stored as a
     (sets x n) 0/1 `incidence` matrix and a `caps` vector; every element
     additionally carries the implicit capacity 1 (so r({i}) <= 1).
-    `rows_of[i]` lists, in ascending order, the family rows that hold i;
-    `members` is `incidence` as booleans.
+    `rows_of[i]` lists, in ascending order, the family rows that hold i.
     """
 
     kind: str
@@ -57,11 +52,9 @@ class PolymatroidInstance:
     incidence: np.ndarray
     caps: np.ndarray
     rows_of: list = field(init=False, repr=False)
-    members: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.rows_of = [np.flatnonzero(col).tolist() for col in self.incidence.T]
-        self.members = self.incidence > 0.0
 
     @classmethod
     def uniform(cls, n: int, k: float):
@@ -203,11 +196,10 @@ class PolymatroidInstance:
     def _tight(self, x, sums, x_lo, caps_lo) -> np.ndarray:
         """The tight set of x, whose set sums are `sums`, as a boolean mask:
         the elements at x_lo = scale - tol or in a set at its cap
-        caps_lo = scale * caps - tol.  x and sums may be rows of points."""
-        at_cap = sums >= caps_lo
-        if self.members.size <= BOOL_PRODUCT_ENTRIES:
-            return (x >= x_lo) | at_cap @ self.members
-        return (x >= x_lo) | (at_cap @ self.incidence > 0.0)
+        caps_lo = scale * caps - tol.  x and sums may be rows of points.
+        The sets at their caps reach their elements through a float
+        product, which numpy hands to BLAS, as it does not a boolean one."""
+        return (x >= x_lo) | ((sums >= caps_lo) @ self.incidence > 0.0)
 
     def _step_fill(self, x, order: list, sums, eps: float, caps: list) -> tuple:
         """The water-fill step from x, whose set sums are `sums`: each i of

@@ -404,30 +404,42 @@ def _faulty_kernels(faults):
     # the potential does not rise; the gain recurrence notes it
     ([("smax", 4, -0.001, True), ("values", 4, 0.5, True)], 1.0,
      "iteration 4: exponential-gain recurrence short"),
-    # at scale 1e-8 and below, the gain-rate slack of 1e-9 hides a dropped
-    # value or an overshoot, and the gain recurrence notes it
-    ([("values", 4, 0.5, True)], 1e-8,
-     "iteration 4: exponential-gain recurrence short"),
-    ([("smax", 200, 1.0, True)], 1e-10,
-     "iteration 200: exponential-gain recurrence short"),
-    # a potential past its budget short of the value target: rejected
-    ([("smax", 100, 1.0, False)], 1e-10,
-     "iteration 101: potential .* exhausted"),
-    # and as the value passes the target: converged, not rejected
+    # a potential past its budget as the value passes the target:
+    # converged, not rejected
     ([("smax", 100, 1.0, False), ("values", 100, 100.0, False)], 1.0,
      '"termination": "converged"'),
 ], ids=["value-drops", "potential-overshoots", "potential-short",
-        "value-drops-as-potential-falls", "recurrence-value", "recurrence-potential", "exhausted",
-        "converged-over-budget"])
+        "value-drops-as-potential-falls", "converged-over-budget"])
 def test_faults_fire_as_in_the_reference_loop(faults, scale, fired):
-    obj = ObjectiveSpec.directed_cut(3, [(0, 1, scale), (1, 2, scale)])
-    inst = add_box_rows(normalize_packing(np.eye(3), EPS))
-    got, want = _loop_outcomes(obj, inst, [scale], False, 3000, False,
-                               faults)
+    got, want = _path_outcomes(scale, faults)
     assert got == want
     text = " ".join(got) if isinstance(got, tuple) else got[0].decode(
         "latin-1")
     assert re.search(fired, text)
+
+
+# At scale 1e-8 and below, lambda * dt is under the gain-rate slack
+# 1e-9 * max(M, 1), so the gain-rate test lets these faults pass.  What the
+# loop does instead (a recurrence note; for a potential past its budget, the
+# exhaustion rejection) is pinned only by the reference loop: a slack
+# relative to M would raise at the fault, in both loops alike.
+@pytest.mark.parametrize("faults, scale", [
+    ([("values", 4, 0.5, True)], 1e-8),
+    ([("smax", 200, 1.0, True)], 1e-10),
+    ([("smax", 100, 1.0, False)], 1e-10),
+], ids=["value-drops", "potential-overshoots", "potential-past-budget"])
+def test_small_scale_faults_as_in_the_reference_loop(faults, scale):
+    got, want = _path_outcomes(scale, faults)
+    assert got == want
+    assert got != _path_outcomes(scale, ())[0]  # the fault reached the loop
+
+
+def _path_outcomes(scale, faults):
+    """_loop_outcomes of one non-monotone guess M = scale on the cut of the
+    path 0 -> 1 -> 2 with arc weights scale, in the unit box."""
+    obj = ObjectiveSpec.directed_cut(3, [(0, 1, scale), (1, 2, scale)])
+    inst = add_box_rows(normalize_packing(np.eye(3), EPS))
+    return _loop_outcomes(obj, inst, [scale], False, 3000, False, faults)
 
 
 @given(loop_cases(), st.lists(st.tuples(
