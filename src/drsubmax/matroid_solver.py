@@ -9,11 +9,12 @@ variant dampens the accumulated solution measured-greedy style.
 
 Inputs are checked once, by the config, the constructors, the public
 membership test of the initial point and the public water-fill of the
-first step; the loop then calls the unchecked oracle kernels on the state
-it builds.  Each step computes the family's set sums once, for its
-(eps/(1+eps))*P check, its tight mask and its fill, and takes the largest
-gradient entry off the tight set as one masked max.  The fill returns the
-few coordinates that rose and their steps, which are added to x in place.
+first step; the loop then calls the unchecked oracle kernels on the states
+it builds.  Each state's family set sums are computed once, for its
+(eps/(1+eps))*P check, its tight mask and the fill from it, and the
+largest gradient entry off the tight set is one masked max.  The fill
+returns the few coordinates that rose and their steps, which are added to
+a copy of the state.
 
 The loop calls the clamp-free interior oracle kernels (objective.py), as
 every point it evaluates lies in [0, 1)^n.  x stays at most x_hi =
@@ -29,22 +30,21 @@ non-monotone ones) and raises InvariantViolation if it is not.
 
 Run-ahead.  The loop repeats the same step for long stretches: while the
 eligible set E stays the same, each step is the fill with E from the
-state the last one reached.  So after each step the loop builds the
-states that k - 1 more steps with E reach, each filled from its own set
-sums as the step fills, takes the gradients and values of all of them in
-one batched kernel call each, and runs the step's checks on every row at
-once: the gain test, the iteration cap, membership in
-(eps/(1+eps))*P, a tight set that never shrinks, v1 > 0, v2 that never
-rises, an unchanged eligible set and a value that never falls.  It
-accepts the rows before the first that fails, and hands that row, with
-its gradient, to the step, which continues, rejects or raises as it
-would have.  A batched kernel gives each row the bits of its own one-row
-call, and v2 is computed per row in Python floats, so an accepted row
-is the step the loop would take: reports are byte for byte those of one
-step per iteration (tests/oracles.py keeps that loop).  k starts at 4,
-doubles while whole batches are accepted and goes back to 4 otherwise;
-a batch's gradients hold at most RUN_AHEAD_ENTRIES entries, so at
-n = 1,000 k stays 1 and the loop takes one step at a time.
+state the last one reached.  So a pass takes the step's fill and up to
+k - 1 more with E, each from its state's own set sums, until a fill is
+empty; takes the gradients and values of the states reached in one
+batched kernel call each; and runs one check function on every row, each
+against the row before it, as it runs on x0 once per epoch.  The pass
+accepts the rows up to the first from which the loop would not step on
+with E (past the gain target or the cap, a failed check, another
+eligible set, or a falling value next), and that row starts the next
+pass, which raises, rejects or stops as one step would.  A batched
+kernel gives each row the bits of its own one-row call, and v2 is
+computed per row in Python floats, so an accepted row is the step the
+loop would take: reports are byte for byte those of one step per
+iteration (tests/oracles.py keeps that loop).  A batch holds
+k = RUN_AHEAD_ENTRIES // (n + incidences) states, at least one, so at
+n = 1,000 the loop takes one step at a time.
 `inner_iterations` and `adaptive_rounds` count the algorithm's steps, not
 kernel calls: each step's queries depend on the step before it.
 """
@@ -64,9 +64,7 @@ from .report import (CONVERGED, GUESS_REJECTED, ITERATION_CAP,
                      check_params, finite_cap)
 
 ITER_BUDGET_K = 64
-# a batch of k steps starts at k = 4, and its gradient call touches
-# k * (n + incidences) <= RUN_AHEAD_ENTRIES entries
-RUN_AHEAD_START = 4
+# a batch's gradient call touches at most RUN_AHEAD_ENTRIES entries
 RUN_AHEAD_ENTRIES = 4096
 
 
@@ -122,9 +120,24 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
     caps_hi, caps_lo = caps + TIGHT_TOL, caps - TIGHT_TOL
     fill_caps = caps.tolist()
 
-    # a batch is a step and the k - 1 steps run ahead of it, with one
-    # gradient row per step; k is bounded by the entries a row touches
-    k_max = max(1, RUN_AHEAD_ENTRIES // (n + obj._incidences()))
+    # a batch is the states the step and the k - 1 fills run ahead of it
+    # reach, with one gradient row each, k * (n + incidences) entries at most
+    k = max(1, RUN_AHEAD_ENTRIES // (n + obj._incidences()))
+
+    def check(X, S, C, tight, v2):
+        """The step's checks on each row of the states X, with set sums S
+        and gradients C, each taken after the row before it and the first
+        after a state with tight set `tight` and bucket value `v2`: in
+        scale * P, the tight set, a lost tight coordinate, v2 (nan when
+        v1 <= 0) and a rising v2."""
+        fits = ~((X.max(axis=1) > x_hi) | (S > caps_hi).any(axis=1))
+        T = pm._tight(X, S, x_lo, caps_lo)
+        lost = (np.vstack((tight, T[:-1])) > T).any(axis=1)
+        # v1 is -inf when every coordinate is tight
+        v1s = C.max(axis=1, where=~T, initial=-math.inf).tolist()
+        v2s = np.array([_bucket(v, eps) if v > 0 else math.nan for v in v1s])
+        rising = v2s > np.append(v2, v2s[:-1]) * (1.0 + 1e-9)
+        return fits, T, lost, v2s, rising
 
     z = np.zeros(n)
     notes: list = []
@@ -151,119 +164,84 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
             raise InvariantViolation(
                 f"epoch {j}: evaluation points may reach {top} >= 1")
 
-        xt = x0.copy()
-        g0 = float(values(x0[None])[0])
+        # the loop's state is row r of the batch X, with its set sums S[r],
+        # gradient C[r] and checks; each epoch starts from x0
+        X, S = x0[None], (pm.incidence @ x0)[None]
+        C = grad(X)
+        g0 = gt = float(values(X)[0])
         rounds += 1
-        gt = g0
         target = threshold - eps * g0 + tol
-        tight_prev = np.zeros(n, dtype=bool)
-        v2_prev = math.inf
+        fits, T, lost, v2s, rising = check(X, S, C, np.zeros(n, dtype=bool),
+                                           math.inf)
+        r = 0
         rejected = False
-        c = None  # the gradient at xt, when a batch has computed it
-        k = min(RUN_AHEAD_START, k_max)
 
         while gt - g0 <= target:
             if total_inner >= max_inner:
                 termination = ITERATION_CAP
                 break
-            if c is None:
-                c = grad(xt)
-            # one x(S) per step, shared by the check, the mask and the fill
-            sums = pm.incidence @ xt
-            if not pm._fits(xt, sums, x_hi, caps_hi):
+            if not fits[r]:
                 raise ValueError("x is not in scale * P")
-            tight = pm._tight(xt, sums, x_lo, caps_lo)
-            if np.count_nonzero(tight_prev > tight):
+            if lost[r]:
                 raise InvariantViolation("tight set lost coordinates")
-            tight_prev = tight
-            # -inf when every coordinate is tight
-            v1 = c.max(where=~tight, initial=-math.inf)
-            if v1 <= 0:
+            v2 = float(v2s[r])
+            if math.isnan(v2):
                 rejected = True
                 break
-            v2 = _bucket(v1, eps)
-            if v2 > v2_prev * (1.0 + 1e-9):
+            if rising[r]:
                 raise InvariantViolation("bucket value v2 increased within an epoch")
-            v2_prev = v2
-            eligible_mask = c >= v2
+            tight, eligible_mask = T[r], C[r] >= v2
             eligible = eligible_mask.nonzero()[0].tolist()  # ascending
-            # the solve's first fill is checked like any caller's; the
-            # later ones start from the state the fills built
-            if total_inner == 0:
-                y = pm.waterfill(xt, eligible, eps)
-                raised = y.nonzero()[0].tolist()
-                steps = y[raised].tolist()
-            else:
-                raised, steps = pm._step_fill(xt, eligible, sums, eps,
-                                              fill_caps)
-            if not raised:
-                rejected = True
-                break
-            for i, step in zip(raised, steps):
-                xt[i] += step
-            g_new = float(values(xt[None])[0])
-            if g_new < gt - 1e-9 * M:
-                raise InvariantViolation("objective decreased within an epoch")
-            gt = g_new
-            total_inner += 1
-            rounds += 1  # one gradient batch plus the value query
-            c = None
 
-            # run ahead: the states up to k - 1 more steps with this
-            # eligible set reach, each filled from its own set sums as the
-            # step fills; an empty fill ends the run (the step rejects)
-            states, state_sums = [xt], []
-            while len(state_sums) < k - 1:
-                x = states[-1]
-                sums = pm.incidence @ x
-                raised, steps = pm._step_fill(x, eligible, sums, eps, fill_caps)
+            # the step's fill and up to k - 1 more with the same eligible
+            # set E, each from the set sums of the state it starts from;
+            # an empty fill ends the chain
+            states, state_sums = [], []
+            x, sums = X[r], S[r]
+            while len(states) < k:
+                # the solve's first fill is checked like any caller's
+                if total_inner == len(states) == 0:
+                    y = pm.waterfill(x, eligible, eps)
+                    raised = y.nonzero()[0].tolist()
+                    steps = y[raised].tolist()
+                else:
+                    raised, steps = pm._step_fill(x, eligible, sums, eps,
+                                                  fill_caps)
                 if not raised:
                     break
                 x = x.copy()
                 for i, step in zip(raised, steps):
                     x[i] += step
+                sums = pm.incidence @ x
                 states.append(x)
                 state_sums.append(sums)
-            m = len(state_sums)
-            if not m:
-                continue
-            # one gradient batch for every state, one value batch for the
-            # states the steps reach; a row has the bits of its own call
-            X = np.array(states)
-            C = grad(X)
-            V = values(X[1:])
-            # row r checks the step from states[r] as the step does; it is
-            # accepted when every check passes and the eligible set is E,
-            # so it is the step the loop would take
-            S, C_steps, sums = X[:m], C[:m], np.array(state_sums)
-            g_at = np.concatenate(([gt], V[:-1]))
-            T = pm._tight(S, sums, x_lo, caps_lo)
-            v1s = C_steps.max(axis=1, where=~T, initial=-math.inf)
-            # nan where the step would reject or raise, which fails the row
-            v2s = np.array([_bucket(v, eps) if 0 < v < math.inf else math.nan
-                            for v in v1s.tolist()])
-            ok = ((g_at - g0 <= target)
-                  & (np.arange(m) < max_inner - total_inner)
-                  & (S.max(axis=1) <= x_hi)
-                  & (sums <= caps_hi).all(axis=1)
-                  & ~(np.vstack((tight_prev, T[:-1])) > T).any(axis=1)
-                  & (v2s <= np.concatenate(([v2_prev], v2s[:-1])) * (1.0 + 1e-9))
-                  & ((C_steps >= v2s[:, None]) == eligible_mask).all(axis=1)
-                  & (V >= g_at - 1e-9 * M))
-            a = m if ok.all() else int(ok.argmin())
-            if a:
-                xt = states[a]
-                gt = float(V[a - 1])
-                tight_prev = T[a - 1]
-                v2_prev = float(v2s[a - 1])
-                total_inner += a
-                rounds += a
-            # the step at xt, the first row that failed or the last state,
-            # takes its gradient from the batch
-            c = C[a]
-            k = min(2 * k, k_max) if a == m else min(RUN_AHEAD_START, k_max)
+            if not states:
+                rejected = True
+                break
 
-        z = z + xt if monotone else z + (1.0 - z) * xt
+            # one gradient and one value call for the states reached; a
+            # row has the bits of its own one-row call
+            X, S = np.array(states), np.array(state_sums)
+            C = grad(X)
+            V = values(X)
+            if V[0] < gt - 1e-9 * M:
+                raise InvariantViolation("objective decreased within an epoch")
+            fits, T, lost, v2s, rising = check(X, S, C, tight, v2)
+            # the loop steps on from row q when it is below the target and
+            # the cap, passes its checks and keeps E, and row q + 1 is the
+            # state it reaches if that row's value does not fall
+            steps_on = ((V - g0 <= target)
+                        & (np.arange(1, len(V) + 1) < max_inner - total_inner)
+                        & fits & ~lost & ~np.isnan(v2s) & ~rising
+                        & ((C >= v2s[:, None]) == eligible_mask).all(axis=1))
+            steps_on = steps_on[:-1] & (V[1:] >= V[:-1] - 1e-9 * M)
+            # the steps up to X[r] are taken, one round each
+            r = len(steps_on) if steps_on.all() else int(steps_on.argmin())
+            gt = float(V[r])
+            total_inner += r + 1
+            rounds += r + 1
+
+        z = z + X[r] if monotone else z + (1.0 - z) * X[r]
 
         if not monotone:
             bound = 1.0 - (1.0 - eps / (1.0 + eps)) ** (j + 1)

@@ -35,7 +35,8 @@ LINEAR = "linear"
 SAMPLED = "sampled-set-function"
 
 # the _copies kept besides the newest hold at most this many entries
-# (rows * (n + incidences)): the matroid run-ahead's few batch sizes fit,
+# (rows * (n + incidences)): the sizes the matroid batches repeat (the full
+# batch and the few lengths of chains a saturating fill cuts short) fit,
 # while a packing ladder, whose live count only falls, keeps about one
 COPIES_KEPT_ENTRIES = 1 << 14
 

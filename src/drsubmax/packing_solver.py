@@ -181,9 +181,8 @@ class _Live(SimpleNamespace):
 
     pos: where each guess stands in `guesses`; M: the guess; target: the
     value that ends it as converged; lam_floor: the floor of the monotone
-    lambda; tol and gain_tol: the slacks of its gain-rate invariant and of
-    its gain recurrence; c_floor: gradient entries at most this get no
-    update; inf: rows of +inf, copied as the multiplier's ratio where the
+    lambda; tol: 1e-9 * M, the slack of its gain-rate invariant and of its
+    gain recurrence; c_floor: gradient entries at most this get no update; inf: rows of +inf, copied as the multiplier's ratio where the
     gradient is at most c_floor; X, Z, AZ, t, P, fx: x, z, A z, smax(A z),
     smax_grad(A z) and F(x); below: fx <= target, the mask both the
     exhaustion test and the next convergence test read; exp_t, exp_neg_t:
@@ -246,8 +245,7 @@ def _solve(obj, inst, eps, guesses, monotone, max_iterations,
     fx = obj.eval_many(X)
     target = target_k * M
     s = _Live(pos=np.arange(M.size), M=M, target=target,
-              lam_floor=floor_k * M, tol=1e-9 * np.maximum(M, 1.0),
-              gain_tol=1e-9 * M, c_floor=1e-15 * M[:, None],
+              lam_floor=floor_k * M, tol=1e-9 * M, c_floor=1e-15 * M[:, None],
               inf=np.full(X.shape, np.inf), X=X, Z=X, AZ=AZ, t=t,
               P=smax_grad(AZ, eta), fx=fx, below=fx <= target,
               exp_t=np.exp(t), exp_neg_t=np.exp(-t),
@@ -367,7 +365,7 @@ def _solve(obj, inst, eps, guesses, monotone, max_iterations,
                     f"(1+eps)(1-e^-t) = {bound[i]:.6g}")
             gain_lhs = exp_t_new * fx_new
             gain_rhs = gain_k * dt * s.M + s.exp_t * s.fx
-            short = gain_lhs < gain_rhs - s.gain_tol
+            short = gain_lhs < gain_rhs - s.tol
             if np.count_nonzero(short):
                 for i in np.flatnonzero(short):
                     if s.pos[i] not in gain_note:

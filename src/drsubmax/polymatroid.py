@@ -11,11 +11,11 @@ list of family rows that hold each element.
 Validation happens at the boundary: the constructors check the family,
 and each public method checks its point (shape, sign and, where it
 matters, membership in scale * P) and then runs a private kernel
-(`_fits`, `_tight`, `_step_fill`).  The matroid solver's step calls those
-kernels directly, with the bounds scale * caps -/+ tol computed once per
-solve; only its first fill goes through the checked `waterfill`.  The
+(`_fits`, `_tight`, `_step_fill`).  The matroid solver calls `_tight` and
+`_step_fill` directly, with the bounds scale * caps -/+ tol computed once
+per solve; only its first fill goes through the checked `waterfill`.  The
 fill kernels return the step sparsely, as the coordinates that rose and
-their steps: the matroid step adds them to x in place, and `waterfill`
+their steps: the matroid step adds them to a copy of x, and `waterfill`
 and `rank` build their dense results from them.
 """
 

@@ -354,7 +354,7 @@ def reference_packing_solve(obj: ObjectiveSpec, inst, eps, guesses,
     AZ = X @ A.T
     t = smax(AZ, eta)
     s = ps._Live(pos=np.arange(M.size), M=M, target=target_k * M,
-                 lam_floor=floor_k * M, tol=1e-9 * np.maximum(M, 1.0),
+                 lam_floor=floor_k * M, tol=1e-9 * M,
                  c_floor=1e-15 * M[:, None], X=X, Z=X, AZ=AZ, t=t,
                  P=smax_grad(AZ, eta), exp_t=np.exp(t), exp_neg_t=np.exp(-t),
                  fx=obj.eval_many(X), coord_updates=np.zeros(X.shape))

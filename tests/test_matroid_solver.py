@@ -203,10 +203,11 @@ def test_random_matroid_solves_keep_their_invariants(case):
 
 
 def test_loop_calls_the_oracle_kernels(monkeypatch):
-    # a step calls the interior (clamp-free) kernels and the sparse fill; a
-    # run-ahead batch makes one gradient, one value and one tight-set call
-    # for all its states.  The clamped and public (checked) methods run only
-    # at the boundary: the initial point, the first fill and the solution
+    # each epoch makes one gradient, one value and one tight-set call on x0,
+    # and each batch one of each on all the states its fills reach, so the
+    # loop makes no value call of its own; the fill stays sparse.  The
+    # clamped and public (checked) methods run only at the boundary: the
+    # initial point, the first fill and the solution
     log = []
     for cls, names in ((ObjectiveSpec, ("_interior_grad", "_interior_values",
                                         "_clamped_grad", "_values",
@@ -228,32 +229,32 @@ def test_loop_calls_the_oracle_kernels(monkeypatch):
     assert r.termination == CONVERGED
 
     calls = Counter(name for name, _ in log)
-    # a batch of k states: the gradients of all k, then the values and the
-    # tight sets of the k - 1 states its steps reach and start from
-    batches = [i for i, (name, k) in enumerate(log)
-               if name == "_interior_grad" and k is not None]
-    for i in batches:
-        k = log[i][1]
-        after = [entry for entry in log[i + 1:]
-                 if entry[0] in ("_interior_values", "_tight")][:2]
-        assert after == [("_interior_values", k - 1), ("_tight", k - 1)]
-    # the steps outside the batches take the tight set of one point
-    steps = log.count(("_tight", None))
-    assert calls["_tight"] == steps + len(batches)
-    assert 0 < steps < r.inner_iterations
-    # one gradient call per batch, plus each epoch's first step
-    assert calls["_interior_grad"] == r.epochs + len(batches)
-    assert calls["_interior_grad"] < r.inner_iterations / 10
+    # the interior kernels and the tight sets, in threes of one row count:
+    # x0's at the top of each epoch, then a batch's; the last value call is
+    # the final eval's
+    oracle = [entry for entry in log
+              if entry[0] in ("_interior_grad", "_interior_values", "_tight")]
+    assert oracle.pop() == ("_interior_values", 1)
+    rows = []
+    for i in range(0, len(oracle), 3):
+        (grad, k), (value, k_value), (tight, k_tight) = oracle[i:i + 3]
+        assert (grad, value, tight) == ("_interior_grad", "_interior_values",
+                                        "_tight")
+        assert k == k_value == k_tight
+        rows.append(k)
+    # one row only at x0: no 1-row value call inside the loop
+    assert rows.count(1) == r.epochs
+    batches = len(rows) - r.epochs
+    assert 0 < batches < r.inner_iterations / 10
+    assert sum(rows) - r.epochs >= r.inner_iterations
     assert calls["_clamped_grad"] == 0
-    # g(x0) once per epoch, g(x) once per step, one batch per batch, the
-    # final value by eval (which clamps, then runs the interior kernel)
-    assert calls["_interior_values"] == r.epochs + steps + len(batches) + 1
+    # the final value by eval, which clamps, then runs the interior kernel
     assert calls["_values"] == 1
     # the fill stays sparse; only the first, checked fill is made dense
     assert calls["_dense"] == 1
-    # plus the initial point's and the solution's membership tests and the
-    # first fill's check
-    assert calls["_fits"] == steps + 3
+    # the initial point's and the solution's membership tests and the first
+    # fill's check; the loop tests scale * P itself, row by row
+    assert calls["_fits"] == 3
     assert (calls["grad"], calls["eval"]) == (0, 1)
     assert (calls["membership"], calls["waterfill"]) == (2, 1)
 
@@ -341,11 +342,16 @@ def _outcome(solve, *args):
 
 
 def _same_as_stepwise(obj, pm, M, cap, monotone):
+    """The solve's outcome, the one-step loop's for every batch length:
+    one step per batch (k = 1), short chains and the default."""
     cfg = MatroidSolverConfig(eps=EPS, M=M, max_iterations=cap)
     solve = solve_matroid_monotone if monotone else solve_matroid_nonmonotone
-    ran = _outcome(solve, obj, pm, cfg)
-    assert ran == _outcome(stepwise_matroid_solve, obj, pm, cfg, monotone)
-    return ran
+    want = _outcome(stepwise_matroid_solve, obj, pm, cfg, monotone)
+    for entries in (1, 100, matroid_solver.RUN_AHEAD_ENTRIES):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(matroid_solver, "RUN_AHEAD_ENTRIES", entries)
+            assert _outcome(solve, obj, pm, cfg) == want, entries
+    return want
 
 
 @given(matroid_cases(), st.sampled_from([0.5, 1.0, 1.3]),
@@ -406,6 +412,32 @@ def test_lost_tight_coordinates_raise_as_in_the_stepwise_loop(monkeypatch):
     pm = PolymatroidInstance.uniform(4, 3)
     assert _same_as_stepwise(obj, pm, 3.0, None, True) == (
         "InvariantViolation", "tight set lost coordinates")
+
+
+@pytest.mark.parametrize("kernel, fault, message", [
+    # a value that halves once the point sums past 0.05: the step there
+    # finds the objective decreased
+    ("_interior_values",
+     lambda X, V: np.where(X.sum(axis=-1) > 0.05, 0.5 * V, V),
+     "objective decreased within an epoch"),
+    # a gradient that doubles there: v2 rises while the eligible set, the
+    # coordinates within a factor 1 + eps of the top, stays the same
+    ("_interior_grad",
+     lambda X, G: np.where(X.sum(axis=-1, keepdims=True) > 0.05, 2.0 * G, G),
+     "bucket value v2 increased within an epoch"),
+], ids=["value-falls", "v2-rises"])
+def test_faulty_kernels_raise_as_in_the_stepwise_loop(kernel, fault, message,
+                                                      monkeypatch):
+    # the fault fires inside a batch, as in the lost-coordinates test: only
+    # the per-row value and v2 checks can stop the batch where the
+    # one-step loop raises
+    real = getattr(ObjectiveSpec, kernel)
+    monkeypatch.setattr(ObjectiveSpec, kernel,
+                        lambda self, X: fault(X, real(self, X)))
+    obj = ObjectiveSpec.coverage([1, 1, 1, 0], [[0], [1], [2], [3]])
+    pm = PolymatroidInstance.uniform(4, 3)
+    assert _same_as_stepwise(obj, pm, 3.0, None, True) == (
+        "InvariantViolation", message)
 
 
 @pytest.mark.parametrize("obj, solve", [
