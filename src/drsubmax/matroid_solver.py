@@ -9,12 +9,8 @@ variant dampens the accumulated solution measured-greedy style.
 
 Inputs are checked once, by the config, the constructors, the public
 membership test of the initial point and the public water-fill of the
-first step; the loop then calls the unchecked oracle kernels on the states
-it builds.  Each state's family set sums are computed once, for its
-(eps/(1+eps))*P check, its tight mask and the fill from it, and the
-largest gradient entry off the tight set is one masked max.  The fill
-returns the few coordinates that rose and their steps, which are added to
-a copy of the state.
+first step; the loop then calls the unchecked kernels on the states it
+builds, each with its set sums computed once for its checks and fill.
 
 The loop calls the clamp-free interior oracle kernels (objective.py), as
 every point it evaluates lies in [0, 1)^n.  x stays at most x_hi =
@@ -28,25 +24,24 @@ below 1 (by the epoch recurrences it is about (1+eps^2)/(1+eps) at most
 for monotone runs, and eps + (1-eps)*z below the damping bound for
 non-monotone ones) and raises InvariantViolation if it is not.
 
-Run-ahead.  The loop repeats the same step for long stretches: while the
-eligible set E stays the same, each step is the fill with E from the
-state the last one reached.  So a pass takes the step's fill and up to
-k - 1 more with E, each from its state's own set sums, until a fill is
-empty; takes the gradients and values of the states reached in one
-batched kernel call each; and runs one check function on every row, each
-against the row before it, as it runs on x0 once per epoch.  The pass
-accepts the rows up to the first from which the loop would not step on
-with E (past the gain target or the cap, a failed check, another
-eligible set, or a falling value next), and that row starts the next
-pass, which raises, rejects or stops as one step would.  A batched
-kernel gives each row the bits of its own one-row call, and v2 is
-computed per row in Python floats, so an accepted row is the step the
-loop would take: reports are byte for byte those of one step per
-iteration (tests/oracles.py keeps that loop).  A batch holds
-k = RUN_AHEAD_ENTRIES // (n + incidences) states, at least one, so at
-n = 1,000 the loop takes one step at a time.
-`inner_iterations` and `adaptive_rounds` count the algorithm's steps, not
-kernel calls: each step's queries depend on the step before it.
+Run-ahead.  While the eligible set E stays the same, each step is the
+fill with E from the state the last one reached.  So a pass builds a
+chain of up to k = RUN_AHEAD_ENTRIES // (n + incidences) states (at
+least one) in links of two kinds: a fill from the last state, and, after
+a fill that raised each coordinate i by exactly eps * x_i, the states
+that repeat that step, built as one block and cut at the first state
+whose fill would not (PolymatroidInstance._geometric_run), which takes a
+fill next.  An empty fill ends the chain.  The pass takes the states'
+gradients and values in one batched kernel call each, runs one check
+function on every row, each against the row before it, as on x0 once per
+epoch, and accepts the rows up to the first from which the loop would
+not step on with E (past the gain target or the cap, a failed check,
+another eligible set, or a falling value next); that row starts the next
+pass.  Batched kernels give each row the bits of its own one-row call,
+so reports are byte for byte those of one step per iteration
+(tests/oracles.py keeps that loop).  `inner_iterations` and
+`adaptive_rounds` count the algorithm's steps, not kernel calls: each
+step's queries depend on the step before it.
 """
 
 from __future__ import annotations
@@ -120,8 +115,8 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
     caps_hi, caps_lo = caps + TIGHT_TOL, caps - TIGHT_TOL
     fill_caps = caps.tolist()
 
-    # a batch is the states the step and the k - 1 fills run ahead of it
-    # reach, with one gradient row each, k * (n + incidences) entries at most
+    # a batch is the at most k states a pass's chain reaches, with one
+    # gradient row each, k * (n + incidences) entries at most
     k = max(1, RUN_AHEAD_ENTRIES // (n + obj._incidences()))
 
     def check(X, S, C, tight, v2):
@@ -134,8 +129,8 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
         T = pm._tight(X, S, x_lo, caps_lo)
         lost = (np.vstack((tight, T[:-1])) > T).any(axis=1)
         # v1 is -inf when every coordinate is tight
-        v1s = C.max(axis=1, where=~T, initial=-math.inf).tolist()
-        v2s = np.array([_bucket(v, eps) if v > 0 else math.nan for v in v1s])
+        v1s = C.max(axis=1, where=~T, initial=-math.inf)
+        v2s = _buckets(v1s, eps)
         rising = v2s > np.append(v2, v2s[:-1]) * (1.0 + 1e-9)
         return fits, T, lost, v2s, rising
 
@@ -166,7 +161,7 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
 
         # the loop's state is row r of the batch X, with its set sums S[r],
         # gradient C[r] and checks; each epoch starts from x0
-        X, S = x0[None], (pm.incidence @ x0)[None]
+        X, S = x0[None], pm._sums(x0[None])
         C = grad(X)
         g0 = gt = float(values(X)[0])
         rounds += 1
@@ -194,13 +189,15 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
             eligible = eligible_mask.nonzero()[0].tolist()  # ascending
 
             # the step's fill and up to k - 1 more with the same eligible
-            # set E, each from the set sums of the state it starts from;
-            # an empty fill ends the chain
-            states, state_sums = [], []
-            x, sums = X[r], S[r]
-            while len(states) < k:
+            # set E, each from the set sums of the state it starts from, in
+            # links: a fill, and after one that raised each coordinate i by
+            # exactly eps * x_i, the states that repeat it; an empty fill
+            # ends the chain
+            states, state_sums = [], []  # blocks of rows
+            x, sums, reached = X[r], S[r], 0
+            while reached < k:
                 # the solve's first fill is checked like any caller's
-                if total_inner == len(states) == 0:
+                if total_inner == reached == 0:
                     y = pm.waterfill(x, eligible, eps)
                     raised = y.nonzero()[0].tolist()
                     steps = y[raised].tolist()
@@ -209,19 +206,25 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
                                                   fill_caps)
                 if not raised:
                     break
+                geometric = (reached + 1 < k and steps
+                             == [eps * v for v in x[raised].tolist()])
                 x = x.copy()
                 for i, step in zip(raised, steps):
                     x[i] += step
-                sums = pm.incidence @ x
-                states.append(x)
-                state_sums.append(sums)
+                run, run_sums = (
+                    pm._geometric_run(x, raised, eps, caps, k - reached)
+                    if geometric else (x[None], pm._sums(x[None])))
+                states.append(run)
+                state_sums.append(run_sums)
+                reached += len(run)
+                x, sums = run[-1], run_sums[-1]
             if not states:
                 rejected = True
                 break
 
             # one gradient and one value call for the states reached; a
             # row has the bits of its own one-row call
-            X, S = np.array(states), np.array(state_sums)
+            X, S = np.concatenate(states), np.concatenate(state_sums)
             C = grad(X)
             V = values(X)
             if V[0] < gt - 1e-9 * M:
@@ -265,9 +268,21 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
         termination=termination, slack=slack, notes=notes)
 
 
-def _bucket(v1: float, eps: float) -> float:
-    """v2, the power of (1+eps) at or below v1 > 0."""
-    return (1.0 + eps) ** math.floor(math.log(v1) / math.log1p(eps))
+def _buckets(v1s: np.ndarray, eps: float) -> np.ndarray:
+    """v2 for each v1 > 0, the power of (1+eps) at or below it, and nan for
+    the others.  A v1 inside the last bucket computed, 1e-9 relative from
+    both of its ends, has that bucket's floor, as log and pow are exact to
+    a few places on buckets above 1e-300, so its power is reused."""
+    log1p, v2s, lo, hi = math.log1p(eps), [], math.inf, math.inf
+    for v1 in v1s.tolist():
+        if not lo <= v1 < hi:
+            if not v1 > 0:
+                v2s.append(math.nan)
+                continue
+            v2 = (1.0 + eps) ** math.floor(math.log(v1) / log1p)
+            lo, hi = max(v2, 1e-300) * (1 + 1e-9), v2 * (1 + eps) * (1 - 1e-9)
+        v2s.append(v2)
+    return np.array(v2s)
 
 
 def _initial_point(pm, n, eps, D, scale) -> np.ndarray:

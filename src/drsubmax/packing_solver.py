@@ -182,7 +182,8 @@ class _Live(SimpleNamespace):
     pos: where each guess stands in `guesses`; M: the guess; target: the
     value that ends it as converged; lam_floor: the floor of the monotone
     lambda; tol: 1e-9 * M, the slack of its gain-rate invariant and of its
-    gain recurrence; c_floor: gradient entries at most this get no update; inf: rows of +inf, copied as the multiplier's ratio where the
+    gain recurrence; c_floor: gradient entries at most this get no
+    update; inf: rows of +inf, copied as the multiplier's ratio where the
     gradient is at most c_floor; X, Z, AZ, t, P, fx: x, z, A z, smax(A z),
     smax_grad(A z) and F(x); below: fx <= target, the mask both the
     exhaustion test and the next convergence test read; exp_t, exp_neg_t:

@@ -3,20 +3,20 @@
 Shipped rank functions are uniform, partition, and laminar; all three are
 represented internally as a laminar family of capacitated sets plus an
 implicit per-element capacity of 1, so membership and tight sets are exact
-without general submodular minimization.
-
-The family is an incidence matrix plus caps, and, built once with it, the
-list of family rows that hold each element.
+without general submodular minimization.  The family is an incidence
+matrix plus caps, and, built once with it, the family rows of each element.
 
 Validation happens at the boundary: the constructors check the family,
 and each public method checks its point (shape, sign and, where it
-matters, membership in scale * P) and then runs a private kernel
-(`_fits`, `_tight`, `_step_fill`).  The matroid solver calls `_tight` and
-`_step_fill` directly, with the bounds scale * caps -/+ tol computed once
-per solve; only its first fill goes through the checked `waterfill`.  The
-fill kernels return the step sparsely, as the coordinates that rose and
-their steps: the matroid step adds them to a copy of x, and `waterfill`
-and `rank` build their dense results from them.
+matters, membership in scale * P) and then runs a private kernel.  The
+matroid solver calls the kernels directly, with the bounds scale * caps
+-/+ tol computed once per solve; only its first fill goes through the
+checked `waterfill`.  Every set sum comes from `_sums`, whose rows have
+the bits of their own one-row calls.  The fill kernels return the step
+sparsely, as the coordinates that rose and their steps: `waterfill` and
+`rank` build their dense results from them, and the matroid solver adds
+them to a copy of its state or, when each rose by exactly eps * x_i,
+builds the states that repeat the step as one block (`_geometric_run`).
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ class PolymatroidInstance:
     def membership(self, x, scale: float = 1.0, tol: float = TIGHT_TOL) -> bool:
         """True iff x(S) <= scale * r(S) for all S (exact for these kinds)."""
         x = self._vec(x)
-        return self._fits(x, self.incidence @ x, scale + tol,
+        return self._fits(x, self._sums(x), scale + tol,
                           scale * self.caps + tol)
 
     def tight_set(self, x, scale: float = 1.0, tol: float = TIGHT_TOL) -> frozenset:
@@ -146,7 +146,7 @@ class PolymatroidInstance:
         Raises ValueError unless x >= 0 lies in scale * P.
         """
         x = self._vec(x)
-        sums = self.incidence @ x
+        sums = self._sums(x)
         if not self._fits(x, sums, scale + tol, scale * self.caps + tol):
             raise ValueError("x is not in scale * P")
         tight = self._tight(x, sums, scale - tol, scale * self.caps - tol)
@@ -156,12 +156,12 @@ class PolymatroidInstance:
         """Minimum residual capacity, over element caps and family sets."""
         x = self._vec(x)
         return float(min((1.0 - x).min(initial=np.inf),
-                         (self.caps - self.incidence @ x).min(initial=np.inf)))
+                         (self.caps - self._sums(x)).min(initial=np.inf)))
 
     def fit_factor(self, x, scale: float = 1.0) -> float:
         """Largest t <= 1 with t * x within every cap of scale * P."""
         x = self._vec(x)
-        loads = np.concatenate([x, self.incidence @ x])
+        loads = np.concatenate([x, self._sums(x)])
         caps = scale * np.concatenate([np.ones(self.n), self.caps])
         used = loads > 0
         return float(min(1.0, (caps[used] / loads[used]).min(initial=np.inf)))
@@ -179,13 +179,19 @@ class PolymatroidInstance:
         scale = eps / (1.0 + eps)
         x = self._vec(x)
         caps = scale * self.caps
-        sums = self.incidence @ x
+        sums = self._sums(x)
         if not self._fits(x, sums, scale + tol, caps + tol):
             raise ValueError("(1+eps) * x is not in eps * P")
         return self._dense(*self._step_fill(x, sorted(set(eligible)), sums,
                                             eps, caps.tolist()))
 
     # -- kernels: the caller has checked x, and built the bounds ----------
+
+    def _sums(self, X) -> np.ndarray:
+        """The set sums x(S) of x, or of each row of X: a stack of one-row
+        products, each the matrix-vector product incidence @ x, so a row
+        has the bits of its own one-row call."""
+        return np.matmul(X[..., None, :], self.incidence.T)[..., 0, :]
 
     def _fits(self, x, sums, x_hi, caps_hi) -> bool:
         """x <= x_hi and x(S) = sums <= caps_hi: x is in scale * P, for
@@ -202,28 +208,58 @@ class PolymatroidInstance:
         return (x >= x_lo) | ((sums >= caps_lo) @ self.incidence > 0.0)
 
     def _step_fill(self, x, order: list, sums, eps: float, caps: list) -> tuple:
-        """The water-fill step from x, whose set sums are `sums`: each i of
-        `order` rises by at most min(eps * x_i, scale - x_i), computed for
-        `order` only, within caps = scale * self.caps, scale = eps/(1+eps).
-
-        Returns the sparse step of `_fill`.
-        """
+        """`_fill`'s sparse water-fill step from x, whose set sums are
+        `sums`: each i of `order` rises by at most min(eps * x_i, scale -
+        x_i) within caps = scale * self.caps, scale = eps/(1+eps)."""
         scale = eps / (1.0 + eps)
         x = x.tolist()
         bounds = {i: min(eps * x[i], scale - x[i]) for i in order}
         return self._fill(order, bounds, sums.tolist(), caps)
 
+    def _geometric_run(self, x, raised: list, eps: float, caps,
+                       room: int) -> tuple:
+        """x, which a fill step reached by raising each i of `raised` by
+        exactly eps * x_i, then the states that repeat the step for as long
+        as `_step_fill` would, at most `room` rows in all, with their set
+        sums.  A fill repeats the step while each i of `raised` has
+        eps * x_i within scale - x_i and within the residual of each of its
+        sets after the steps before it there, `_fill`'s sequential sums,
+        here a cumsum; the other eligible coordinates stay put, as their
+        bounds are fixed and their residuals only shrink.  caps is
+        scale * self.caps."""
+        values = []
+        for v in x[raised].tolist():  # _fill's x_i + eps * x_i, in floats
+            values.append(column := [v])
+            for _ in range(room - 1):
+                v += eps * v
+                column.append(v)
+        V = np.array(values).T  # the raised values of each row
+        X = np.repeat(x[None], room, axis=0)
+        X[:, raised] = V
+        S = self._sums(X)
+        # the fills from each row but the last
+        V, starts = V[:-1], S[:-1]
+        steps = eps * V
+        repeats = (steps <= eps / (1.0 + eps) - V).all(axis=1)
+        raised_in = {}
+        for c, i in enumerate(raised):
+            for r in self.rows_of[i]:
+                raised_in.setdefault(r, []).append(c)
+        for r, cols in raised_in.items():
+            sums = np.cumsum(np.concatenate((starts[:, [r]], steps[:, cols]),
+                                            axis=1), axis=1)
+            repeats &= (steps[:, cols] <= caps[r] - sums[:, :-1]).all(axis=1)
+        q = room if repeats.all() else 1 + int(repeats.argmin())
+        return X[:q], S[:q]
+
     def _fill(self, order: list, bounds: list | dict, sums: list,
               caps: list) -> tuple:
         """Raise each coordinate i of `order` (ascending, no repeats) as far
         as bounds[i] and the residuals caps - sums of its sets allow.
-
-        Returns (raised, steps): the coordinates that rose, ascending, and
-        their positive steps, as lists; a step raises few coordinates, so
-        the caller adds them where they are.  The fill is sequential, so it
-        runs on Python floats, which are cheaper per step than numpy
-        scalars; `sums` is updated in place.
-        """
+        Returns the coordinates that rose, ascending, and their positive
+        steps, as lists.  The fill is sequential, so it runs on Python
+        floats, cheaper per step than numpy scalars; `sums` is updated in
+        place."""
         raised, steps = [], []
         for i in order:
             rows = self.rows_of[i]

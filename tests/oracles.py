@@ -268,7 +268,7 @@ def stepwise_matroid_solve(obj: ObjectiveSpec, pm: PolymatroidInstance, cfg,
                 c = obj._interior_grad((1.0 + eps) * xt + z)
             else:
                 c = damp * obj._interior_grad(damp_eps * xt + z)
-            sums = pm.incidence @ xt
+            sums = pm._sums(xt)
             if not pm._fits(xt, sums, x_hi, caps_hi):
                 raise ValueError("x is not in scale * P")
             tight = pm._tight(xt, sums, x_lo, caps_lo)

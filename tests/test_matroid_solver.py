@@ -149,6 +149,30 @@ def test_zero_capacity_coordinates_stay_zero():
     assert r.feasible
 
 
+@pytest.mark.parametrize("eps, draws", [(0.05, 10**6), (1 / 3, 10**5),
+                                         (1 / 1000, 10**5)])
+def test_buckets_are_the_scalar_bucket(eps, draws):
+    # a batch's v2 is the one-step loop's bit for bit, over 24 orders of
+    # magnitude and, more sparsely, the whole float range, on exact powers
+    # of 1 + eps and the floats on either side of them, in random order
+    # and falling, as within an epoch, where most rows reuse the bucket of
+    # the row before them; nan where v1 is not positive
+    rng = np.random.default_rng(16)
+    powers = np.array([(1.0 + eps) ** k
+                       for k in range(int(-27 / math.log10(1 + eps)),
+                                      int(27 / math.log10(1 + eps)))])
+    v1 = np.concatenate((10.0 ** rng.uniform(-12, 12, draws),
+                         10.0 ** rng.uniform(-323, 308, draws // 100),
+                         powers, np.nextafter(powers, 0.0),
+                         np.nextafter(powers, np.inf),
+                         [0.0, -1.0, -math.inf, math.nan]))
+    for v1 in (rng.permutation(v1), np.sort(v1)[::-1]):
+        want = [(1.0 + eps) ** math.floor(math.log(v) / math.log1p(eps))
+                if v > 0 else math.nan for v in v1.tolist()]
+        assert np.array_equal(matroid_solver._buckets(v1, eps), want,
+                              equal_nan=True)
+
+
 @st.composite
 def matroid_cases(draw):
     """(objective, matroid) with n <= 8: coverage or directed cut on a
@@ -259,41 +283,136 @@ def test_loop_calls_the_oracle_kernels(monkeypatch):
     assert (calls["membership"], calls["waterfill"]) == (2, 1)
 
 
-def _recorded_fills(monkeypatch, solve):
-    """(x, y, rows raised) for each fill that `solve()` makes, y dense."""
-    real, fills = PolymatroidInstance._step_fill, []
+def _fill_from(pm, x, eligible, eps):
+    """`_step_fill` from x on its own set sums, as (raised, steps), and
+    whether it is geometric: each raised i rises by exactly eps * x_i."""
+    raised, steps = pm._step_fill(x, eligible, pm._sums(x), eps,
+                                  (eps / (1 + eps) * pm.caps).tolist())
+    return raised, steps, steps == [eps * v for v in x[raised].tolist()]
 
-    def recording(self, x, *args):
-        raised, steps = real(self, x, *args)
-        fills.append((x.copy(), self._dense(raised, steps), len(raised)))
-        return raised, steps
+
+def _recorded_states(monkeypatch, solve):
+    """The report, the (order, state) of each `_step_fill` call, and per
+    batch the (order, state) of the chain's first fill and the states and
+    set sums checked after it."""
+    real_fill = PolymatroidInstance._step_fill
+    real_tight = PolymatroidInstance._tight
+    fills, chains, chain_start = [], [], [0]
+
+    def filling(self, x, order, *args):
+        fills.append((order, x.copy()))
+        return real_fill(self, x, order, *args)
+
+    def checking(self, X, S, *args):
+        if X.ndim == 2 and len(fills) > chain_start[0]:  # a chain's batch
+            chains.append((*fills[chain_start[0]], X.copy(), S.copy()))
+            chain_start[0] = len(fills)
+        return real_tight(self, X, S, *args)
     with monkeypatch.context() as patch:
-        patch.setattr(PolymatroidInstance, "_step_fill", recording)
+        patch.setattr(PolymatroidInstance, "_step_fill", filling)
+        patch.setattr(PolymatroidInstance, "_tight", checking)
         report = solve()
-    return report, fills
+    return report, fills, chains
 
 
 def test_sparse_fill_adds_the_dense_step(monkeypatch):
-    # every state is built by adding a fill's steps at the raised
-    # coordinates only: it has the bits of x + y, x the state the fill
-    # started from and y the dense fill, or is the initial point; the
-    # states the one-step loop fills from appear among them, in order
+    # every state is an earlier state plus that state's dense fill with
+    # the chain's eligible set, bit for bit, with its own set sums, whether
+    # a fill or a geometric run built it; the states the one-step loop
+    # fills from appear among them, in order
     # equal weights: every coordinate is eligible, so several rise per step
     obj = ObjectiveSpec.linear([1.0, 1.0, 1.0, 1.0])
     pm = PolymatroidInstance.uniform(4, 2)
     cfg = MatroidSolverConfig(eps=EPS, M=2.0)
-    r, fills = _recorded_fills(
+    r, _, chains = _recorded_states(
         monkeypatch, lambda: solve_matroid_monotone(obj, pm, cfg))
-    _, stepwise = _recorded_fills(
+    _, stepwise, _ = _recorded_states(
         monkeypatch, lambda: stepwise_matroid_solve(obj, pm, cfg, True))
-    assert len(stepwise) == r.inner_iterations < len(fills)
-    assert max(k for _, _, k in fills) > 1
-    built = {fills[0][0].tobytes()}  # the initial point
-    for x, y, _ in fills:
+    assert len(stepwise) == r.inner_iterations
+    rows = sum(len(X) for _, _, X, _ in chains)
+    assert len(chains) < rows / 10 and rows >= r.inner_iterations
+    built, raised_most = {chains[0][1].tobytes()}, 0  # the initial point
+    for order, x, X, S in chains:
         assert x.tobytes() in built
-        built.add((x + y).tobytes())
-    states = iter(x.tobytes() for x, _, _ in fills)
-    assert all(x.tobytes() in states for x, _, _ in stepwise)
+        for row, sums in zip(X, S):
+            raised, steps, _ = _fill_from(pm, x, order, EPS)
+            x = x + pm._dense(raised, steps)
+            assert x.tobytes() == row.tobytes()
+            assert sums.tobytes() == pm._sums(x).tobytes()
+            built.add(x.tobytes())
+            raised_most = max(raised_most, len(raised))
+    assert raised_most > 1
+    states = iter(x.tobytes() for _, x, X, _ in chains for x in [x, *X])
+    assert all(x.tobytes() in states for _, x in stepwise)
+
+
+def _chain_of_fills(pm, x, eligible, eps, room):
+    """Follow `room` states of the fills from x as the solver's fill chain
+    does, a geometric run from each geometric fill, and check each run's
+    rows against repeated `_step_fill`: the same states and set sums, bit
+    for bit, cut at the first fill that does not repeat the step.  Returns
+    each run's rows, room and last state."""
+    caps, runs = eps / (1 + eps) * pm.caps, []
+    while room > 0:
+        raised, steps, geometric = _fill_from(pm, x, eligible, eps)
+        if not raised:
+            break
+        x = x + pm._dense(raised, steps)
+        if not (geometric and room > 1):
+            room -= 1
+            continue
+        X, S = pm._geometric_run(x, raised, eps, caps, room)
+        assert X[0].tobytes() == x.tobytes()
+        for row, sums in zip(X[1:], S):
+            again, steps, geometric = _fill_from(pm, x, eligible, eps)
+            assert again == raised and geometric
+            assert sums.tobytes() == pm._sums(x).tobytes()
+            x = x + pm._dense(raised, steps)
+            assert x.tobytes() == row.tobytes()
+        assert S[-1].tobytes() == pm._sums(x).tobytes()
+        if len(X) < room:  # the fill after the run is not the step
+            again, _, geometric = _fill_from(pm, x, eligible, eps)
+            assert not (again == raised and geometric)
+        runs.append((len(X), room, x))
+        room -= len(X)
+    return runs
+
+
+@given(matroid_cases(), st.sampled_from([0.05, 0.2, 1 / 3]),
+       st.lists(st.floats(0.0, 4.0), min_size=8, max_size=8),
+       st.lists(st.booleans(), min_size=8, max_size=8), st.integers(1, 60))
+@settings(max_examples=150, deadline=None)
+def test_geometric_run_is_the_repeated_fill(case, eps, logs, picks, room):
+    # from points of scale * P on uniform, partition and laminar matroids
+    # whose coordinates span four orders of magnitude below scale, so that
+    # runs end at element bounds and at set residuals
+    _, pm = case
+    scale = eps / (1 + eps)
+    x = scale * 10.0 ** -np.array(logs[:pm.n])
+    x *= min(1.0, pm.fit_factor(x, scale))
+    eligible = [i for i in range(pm.n) if picks[i]]
+    _chain_of_fills(pm, x, eligible, eps, room)
+
+
+@pytest.mark.parametrize("pm, x, eligible, rows, cut", [
+    # x_0 rises by (1 + eps) per step until eps * x_0 > scale - x_0
+    (PolymatroidInstance.uniform(2, 2), [1e-3, 0.0], [0], 79,
+     lambda x, sums, scale: EPS * x[0] > scale - x[0]),
+    # x_0 meets the set's residual scale - x_0 - x_1 first
+    (PolymatroidInstance.uniform(2, 1), [1e-3, 0.02], [0], 68,
+     lambda x, sums, scale: EPS * x[0] > scale - sums[0]),
+    # two raised coordinates share a set: x_1's residual, taken after x_0's
+    # step, ends the run, where the residual before it would not
+    (PolymatroidInstance.partition(3, [[0, 1], [2]], [1, 1]),
+     [1e-3, 1e-3, 0.0], [0, 1], 64,
+     lambda x, sums, scale: (EPS * x[:2] <= scale - sums[0]).all()),
+], ids=["scale-bound", "set-residual", "running-sum"])
+def test_geometric_run_ends_at_the_first_bound(pm, x, eligible, rows, cut):
+    scale = EPS / (1 + EPS)
+    # one run from the first fill, which stops short of its room
+    (got, room, x), = _chain_of_fills(pm, np.array(x), eligible, EPS, 100)
+    assert (got, room) == (rows, 100)
+    assert cut(x, pm._sums(x), scale)
 
 
 class _ClampedKernels:

@@ -297,6 +297,10 @@ def test_tight_mask_of_points_and_rows(seed, kind, k):
     for x, row in zip(np.atleast_2d(X), np.atleast_2d(tight)):
         assert (frozenset(np.flatnonzero(row).tolist())
                 == tight_set_reference(pm, x, scale))
+    # the set sums of rows have the bits of the one-row matrix products
+    for x, x_sums in zip(np.atleast_2d(X), np.atleast_2d(pm._sums(X))):
+        assert x_sums.tobytes() == (pm.incidence @ x).tobytes()
+        assert x_sums.tobytes() == pm._sums(x).tobytes()
 
 
 def exchange_case(pm, rng):
