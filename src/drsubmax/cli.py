@@ -53,7 +53,6 @@ class InstanceFile:
     objective: dict
     constraint: dict
     eps: float
-    seed: int
     known_opt: Optional[float] = None
     _objective: Optional[ObjectiveSpec] = field(default=None, repr=False,
                                                 compare=False)
@@ -238,7 +237,7 @@ def parse_instance(text: Union[str, bytes]) -> InstanceFile:
                 f"incidence entries, above the limit of "
                 f"{MAX_POLYMATROID_ENTRIES}")
     inst = InstanceFile(objective=obj, constraint=con, eps=float(eps),
-                        seed=seed, known_opt=known_opt)
+                        known_opt=known_opt)
     # surface structural problems (negative weights, non-laminar family,
     # self-loops, mismatched dimensions) at parse time, not at solve time
     obj_n = inst.build_objective().n
@@ -247,14 +246,6 @@ def parse_instance(text: Union[str, bytes]) -> InstanceFile:
         raise InstanceError(f"constraint.n: {con_n} does not match the "
                             f"objective's dimension {obj_n}")
     return inst
-
-
-def emit_instance(inst: InstanceFile) -> str:
-    data = {"objective": inst.objective, "constraint": inst.constraint,
-            "eps": inst.eps, "seed": inst.seed}
-    if inst.known_opt is not None:
-        data["known_opt"] = inst.known_opt
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
 def _emit_report(report_dict: dict, path: Optional[str]):

@@ -23,8 +23,8 @@ from .matroid_solver import (MatroidSolverConfig, solve_matroid_monotone,
                              solve_matroid_nonmonotone)
 from .objective import ObjectiveSpec
 from .packing_solver import (PackingInstance, PackingSolverConfig,
-                             add_box_rows, solve_packing_guesses,
-                             solve_packing_monotone, solve_packing_nonmonotone)
+                             solve_packing_guesses, solve_packing_monotone,
+                             solve_packing_nonmonotone)
 from .polymatroid import PolymatroidInstance
 from .report import CONVERGED, GuessExhausted, SolveReport
 
@@ -78,7 +78,7 @@ def solve_single(obj: ObjectiveSpec,
         cfg = PackingSolverConfig(eps=eps, M=M, max_iterations=max_iterations)
         if monotone:
             return solve_packing_monotone(obj, constraint, cfg)
-        return solve_packing_nonmonotone(obj, add_box_rows(constraint), cfg)
+        return solve_packing_nonmonotone(obj, constraint, cfg)
     cfg = MatroidSolverConfig(eps=eps, M=M, max_iterations=max_iterations)
     if monotone:
         return solve_matroid_monotone(obj, constraint, cfg)
@@ -113,8 +113,6 @@ def solve_with_guessing(obj: ObjectiveSpec,
                                       out=np.zeros(constraint.n),
                                       where=colmax > 0))
         m_low = float((t * obj.singleton_values()).max(initial=0.0))
-        if not monotone:
-            constraint = add_box_rows(constraint)  # once, not once per guess
     guesses = build_ladder(obj, eps, m_low=m_low)
     if not guesses:
         zero = np.zeros(obj.n)

@@ -104,10 +104,6 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
     budget = iteration_budget(n, eps)  # raises when eps is too small for it
     max_inner = budget if cfg.max_iterations is None else cfg.max_iterations
 
-    # adaptive rounds: the singleton batch for the gradient-scale bound,
-    # then one per epoch for g(x0) and one per step
-    rounds = 1
-
     x0 = _initial_point(pm, n, eps, D, scale)
     # the bounds of scale * P and of its tight sets, and the fill's caps
     x_hi, x_lo = scale + TIGHT_TOL, scale - TIGHT_TOL
@@ -125,7 +121,7 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
         after a state with tight set `tight` and bucket value `v2`: in
         scale * P, the tight set, a lost tight coordinate, v2 (nan when
         v1 <= 0) and a rising v2."""
-        fits = ~((X.max(axis=1) > x_hi) | (S > caps_hi).any(axis=1))
+        fits = pm._fits(X, S, x_hi, caps_hi)
         T = pm._tight(X, S, x_lo, caps_lo)
         lost = (np.vstack((tight, T[:-1])) > T).any(axis=1)
         # v1 is -inf when every coordinate is tight
@@ -164,7 +160,6 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
         X, S = x0[None], pm._sums(x0[None])
         C = grad(X)
         g0 = gt = float(values(X)[0])
-        rounds += 1
         target = threshold - eps * g0 + tol
         fits, T, lost, v2s, rising = check(X, S, C, np.zeros(n, dtype=bool),
                                            math.inf)
@@ -242,7 +237,6 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
             r = len(steps_on) if steps_on.all() else int(steps_on.argmin())
             gt = float(V[r])
             total_inner += r + 1
-            rounds += r + 1
 
         z = z + X[r] if monotone else z + (1.0 - z) * X[r]
 
@@ -262,9 +256,11 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
     if not feasible:
         raise InvariantViolation("returned solution is outside the polymatroid")
     slack = pm.slack(z)
+    # adaptive rounds: the singleton batch for the gradient-scale bound,
+    # then one per epoch started (j + 1 of them) for g(x0) and one per step
     return SolveReport(
         solution=z, value=value, epochs=epochs, inner_iterations=total_inner,
-        adaptive_rounds=rounds, feasible=feasible, guess_used=M,
+        adaptive_rounds=2 + j + total_inner, feasible=feasible, guess_used=M,
         termination=termination, slack=slack, notes=notes)
 
 

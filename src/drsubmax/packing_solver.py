@@ -3,8 +3,10 @@
 The hard constraint ||Ax||_inf <= 1 is replaced by the smooth potential
 smax_eta(Ax); each iteration makes a large multiplicative update whose
 potential increase is paid for by objective gain at rate at least lambda.
-The non-monotone solver additionally damps updates by (1 - x) and tracks
-time t through an undamped companion vector z.
+The non-monotone solver additionally damps updates by (1 - x), tracks
+time t through an undamped companion vector z, and adds the box rows
+x_i <= 1 to A itself (add_box_rows), so it takes boxed and unboxed
+instances alike.
 """
 
 from __future__ import annotations
@@ -136,22 +138,22 @@ def _start_point(inst: PackingInstance, eps: float) -> np.ndarray:
 
 
 def _check_variant(obj: ObjectiveSpec, inst: PackingInstance, monotone: bool):
+    """The instance the variant solves: the non-monotone one adds box rows."""
     if monotone and not obj.monotone:
         raise ValueError("monotone solver requires a monotone objective")
-    if not monotone and not inst.includes_box:
-        raise ValueError("non-monotone solver requires box rows (add_box_rows)")
+    return inst if monotone else add_box_rows(inst)
 
 
 def solve_packing_monotone(obj: ObjectiveSpec, inst: PackingInstance,
                            cfg: PackingSolverConfig) -> SolveReport:
-    _check_variant(obj, inst, True)
+    inst = _check_variant(obj, inst, True)
     return _solve(obj, inst, cfg.eps, [cfg.M], True, cfg.max_iterations,
                   cfg.figure1_lambda)[0]
 
 
 def solve_packing_nonmonotone(obj: ObjectiveSpec, inst: PackingInstance,
                               cfg: PackingSolverConfig) -> SolveReport:
-    _check_variant(obj, inst, False)
+    inst = _check_variant(obj, inst, False)
     return _solve(obj, inst, cfg.eps, [cfg.M], False, cfg.max_iterations,
                   cfg.figure1_lambda)[0]
 
@@ -166,7 +168,7 @@ def solve_packing_guesses(obj: ObjectiveSpec, inst: PackingInstance,
     Guesses run in blocks of at most MAX_PACKING_ENTRIES // (m + n), which
     bounds the (guesses, m) and (guesses, n) arrays of the state.
     """
-    _check_variant(obj, inst, monotone)
+    inst = _check_variant(obj, inst, monotone)
     check_params(eps, guesses, max_iterations)
     block = max(1, MAX_PACKING_ENTRIES // (inst.m + inst.n))
     reports = []
@@ -184,7 +186,7 @@ class _Live(SimpleNamespace):
     lambda; tol: 1e-9 * M, the slack of its gain-rate invariant and of its
     gain recurrence; c_floor: gradient entries at most this get no
     update; inf: rows of +inf, copied as the multiplier's ratio where the
-    gradient is at most c_floor; X, Z, AZ, t, P, fx: x, z, A z, smax(A z),
+    gradient is at most c_floor; X, Z, t, P, fx: x, z, smax(A z),
     smax_grad(A z) and F(x); below: fx <= target, the mask both the
     exhaustion test and the next convergence test read; exp_t, exp_neg_t:
     exp(t) and exp(-t), for the non-monotone rules; coord_updates: the
@@ -247,7 +249,7 @@ def _solve(obj, inst, eps, guesses, monotone, max_iterations,
     target = target_k * M
     s = _Live(pos=np.arange(M.size), M=M, target=target,
               lam_floor=floor_k * M, tol=1e-9 * M, c_floor=1e-15 * M[:, None],
-              inf=np.full(X.shape, np.inf), X=X, Z=X, AZ=AZ, t=t,
+              inf=np.full(X.shape, np.inf), X=X, Z=X, t=t,
               P=smax_grad(AZ, eta), fx=fx, below=fx <= target,
               exp_t=np.exp(t), exp_neg_t=np.exp(-t),
               coord_updates=np.zeros(X.shape))
@@ -343,8 +345,7 @@ def _solve(obj, inst, eps, guesses, monotone, max_iterations,
             X_new = s.X + d * comp
             Z_new = s.Z + d
         fx_new = obj._values(X_new)
-        AZ_new = Z_new @ A.T
-        t_new, P_new = _smax_dist(AZ_new, eta)
+        t_new, P_new = _smax_dist(Z_new @ A.T, eta)
         dt = t_new - s.t
         short = fx_new - s.fx < lam * dt - s.tol  # rarely true
         if np.count_nonzero(short):
@@ -376,7 +377,7 @@ def _solve(obj, inst, eps, guesses, monotone, max_iterations,
                             f"short by {gain_rhs[i] - gain_lhs[i]:.3g}")
             s.exp_t, s.exp_neg_t = exp_t_new, exp_neg_t_new
         s.coord_updates += mvec
-        s.X, s.Z, s.AZ, s.t, s.P, s.fx = X_new, Z_new, AZ_new, t_new, P_new, fx_new
+        s.X, s.Z, s.t, s.P, s.fx = X_new, Z_new, t_new, P_new, fx_new
         s.below = fx_new <= s.target
         iters += 1
         # a valid guess keeps the potential <= 1-eps until the last

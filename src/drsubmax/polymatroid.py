@@ -11,12 +11,15 @@ and each public method checks its point (shape, sign and, where it
 matters, membership in scale * P) and then runs a private kernel.  The
 matroid solver calls the kernels directly, with the bounds scale * caps
 -/+ tol computed once per solve; only its first fill goes through the
-checked `waterfill`.  Every set sum comes from `_sums`, whose rows have
-the bits of their own one-row calls.  The fill kernels return the step
-sparsely, as the coordinates that rose and their steps: `waterfill` and
-`rank` build their dense results from them, and the matroid solver adds
-them to a copy of its state or, when each rose by exactly eps * x_i,
-builds the states that repeat the step as one block (`_geometric_run`).
+checked `waterfill`.  One kernel, `_fits`, tests scale * P for
+`membership`, `waterfill` and the solver's checks; it and the tight set
+(`_tight`) answer for a point or for each row of points.  Every set sum
+comes from `_sums`, whose rows have the bits of their own one-row calls.
+The fill kernels return the step sparsely, as the coordinates that rose
+and their steps: `waterfill` and `rank` build their dense results from
+them, and the matroid solver adds them to a copy of its state or, when
+each rose by exactly eps * x_i, builds the states that repeat the step
+as one block (`_geometric_run`).
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ class PolymatroidInstance:
     `rows_of[i]` lists, in ascending order, the family rows that hold i.
     """
 
-    kind: str
     n: int
     incidence: np.ndarray
     caps: np.ndarray
@@ -60,7 +62,7 @@ class PolymatroidInstance:
     def uniform(cls, n: int, k: float):
         if not k >= 0:
             raise ValueError("budget must be non-negative")
-        return cls._of_family(UNIFORM, n, [(frozenset(range(n)), float(k))])
+        return cls._of_family(n, [(frozenset(range(n)), float(k))])
 
     @classmethod
     def partition(cls, n: int, parts: Sequence[Iterable[int]], caps: Sequence[float]):
@@ -78,7 +80,7 @@ class PolymatroidInstance:
                 raise ValueError("parts must be disjoint")
             seen |= part
             family.append((part, float(cap)))
-        return cls._of_family(PARTITION, n, family)
+        return cls._of_family(n, family)
 
     @classmethod
     def laminar(cls, n: int, sets: Sequence[Iterable[int]], caps: Sequence[float]):
@@ -106,15 +108,15 @@ class PolymatroidInstance:
                                  f"{sorted(family[a][0])} vs {sorted(family[b][0])}")
             for i in members:
                 owner[i] = k
-        return cls._of_family(LAMINAR, n, family)
+        return cls._of_family(n, family)
 
     @classmethod
-    def _of_family(cls, kind: str, n: int, family: list):
+    def _of_family(cls, n: int, family: list):
         """The instance for a checked list of (members, capacity) pairs."""
         incidence = np.zeros((len(family), n))
         for row, (members, _) in zip(incidence, family):
             row[list(members)] = 1.0
-        return cls(kind=kind, n=n, incidence=incidence,
+        return cls(n=n, incidence=incidence,
                    caps=np.array([cap for _, cap in family], dtype=float))
 
     # -- rank -------------------------------------------------------------
@@ -137,20 +139,8 @@ class PolymatroidInstance:
     def membership(self, x, scale: float = 1.0, tol: float = TIGHT_TOL) -> bool:
         """True iff x(S) <= scale * r(S) for all S (exact for these kinds)."""
         x = self._vec(x)
-        return self._fits(x, self._sums(x), scale + tol,
-                          scale * self.caps + tol)
-
-    def tight_set(self, x, scale: float = 1.0, tol: float = TIGHT_TOL) -> frozenset:
-        """The unique maximal S with x(S) = scale * r(S).
-
-        Raises ValueError unless x >= 0 lies in scale * P.
-        """
-        x = self._vec(x)
-        sums = self._sums(x)
-        if not self._fits(x, sums, scale + tol, scale * self.caps + tol):
-            raise ValueError("x is not in scale * P")
-        tight = self._tight(x, sums, scale - tol, scale * self.caps - tol)
-        return frozenset(np.flatnonzero(tight).tolist())
+        return bool(self._fits(x, self._sums(x), scale + tol,
+                               scale * self.caps + tol))
 
     def slack(self, x) -> float:
         """Minimum residual capacity, over element caps and family sets."""
@@ -193,11 +183,12 @@ class PolymatroidInstance:
         has the bits of its own one-row call."""
         return np.matmul(X[..., None, :], self.incidence.T)[..., 0, :]
 
-    def _fits(self, x, sums, x_hi, caps_hi) -> bool:
+    def _fits(self, x, sums, x_hi, caps_hi):
         """x <= x_hi and x(S) = sums <= caps_hi: x is in scale * P, for
-        x_hi = scale + tol and caps_hi = scale * caps + tol."""
-        return not (x.max(initial=0.0) > x_hi
-                    or np.count_nonzero(sums > caps_hi))
+        x_hi = scale + tol and caps_hi = scale * caps + tol.  x and sums
+        may be rows of points, with one answer per row."""
+        return ~((x.max(axis=-1, initial=0.0) > x_hi)
+                 | (sums > caps_hi).any(axis=-1))
 
     def _tight(self, x, sums, x_lo, caps_lo) -> np.ndarray:
         """The tight set of x, whose set sums are `sums`, as a boolean mask:

@@ -11,6 +11,7 @@ step per iteration on the package's private kernels: the reference the
 solver's batched steps must match byte for byte.
 `reference_packing_solve` is the packing loop with every test's full mask
 built every iteration, the reference for the loop's two-stage tests.
+`tight_set` reads the matroid loop's tight-set kernel as a set.
 """
 
 import math
@@ -113,6 +114,18 @@ def exchange_vector(pm: PolymatroidInstance, a, b, c,
     else:
         raise RuntimeError("exchange procedure exceeded 4n^2 iterations")
     return np.clip(dh, 0.0, c)
+
+
+def tight_set(pm: PolymatroidInstance, x, scale: float = 1.0) -> frozenset:
+    """The unique maximal S with x(S) = scale * r(S), from the kernels the
+    matroid loop calls on the same bounds.  Raises ValueError unless
+    x >= 0 lies in scale * P."""
+    x = _vec(pm, x)
+    sums = pm._sums(x)
+    if not pm._fits(x, sums, scale + TIGHT_TOL, scale * pm.caps + TIGHT_TOL):
+        raise ValueError("x is not in scale * P")
+    tight = pm._tight(x, sums, scale - TIGHT_TOL, scale * pm.caps - TIGHT_TOL)
+    return frozenset(np.flatnonzero(tight).tolist())
 
 
 def membership_bruteforce(pm: PolymatroidInstance, x, scale: float = 1.0,

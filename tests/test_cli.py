@@ -5,7 +5,7 @@ import pytest
 
 import drsubmax
 import drsubmax.cli
-from drsubmax.cli import (InstanceError, emit_instance, main, parse_instance)
+from drsubmax.cli import InstanceError, main, parse_instance
 from drsubmax.report import GuessExhausted, InvariantViolation
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "linear_packing.json"
@@ -22,14 +22,6 @@ def test_fixture_parses():
     assert inst.constraint["m"] == 1
     assert inst.eps == 0.05
     assert inst.known_opt == 0.95
-
-
-def test_round_trip_identity():
-    inst = parse_instance(FIXTURE.read_bytes())
-    again = parse_instance(emit_instance(inst))
-    assert emit_instance(again) == emit_instance(inst)
-    assert again.objective == inst.objective
-    assert again.constraint == inst.constraint
 
 
 def test_malformed_json_reports_line():

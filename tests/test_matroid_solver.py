@@ -14,7 +14,7 @@ from drsubmax import matroid_solver
 from drsubmax.report import (CONVERGED, GUESS_REJECTED, ITERATION_CAP,
                              InvariantViolation)
 
-from oracles import stepwise_matroid_solve
+from oracles import stepwise_matroid_solve, tight_set
 
 EPS = 0.05
 # expected bound at eps=0.05: each epoch targets eps*((1-10*eps)*M - current),
@@ -82,7 +82,7 @@ def test_epoch_without_improvable_coordinate_rejects_the_guess(obj, solve,
     assert r.inner_iterations > 0
     assert r.feasible and pm.membership(r.solution, 1.0)
     # the first epoch's point is the solution: its tight set names the branch
-    assert pm.tight_set(r.solution, EPS / (1 + EPS)) == frozenset(tight)
+    assert tight_set(pm, r.solution, EPS / (1 + EPS)) == frozenset(tight)
 
 
 def test_nonmonotone_cycle_example():
@@ -276,9 +276,11 @@ def test_loop_calls_the_oracle_kernels(monkeypatch):
     assert calls["_values"] == 1
     # the fill stays sparse; only the first, checked fill is made dense
     assert calls["_dense"] == 1
-    # the initial point's and the solution's membership tests and the first
-    # fill's check; the loop tests scale * P itself, row by row
-    assert calls["_fits"] == 3
+    # the initial point's and the solution's membership tests, the first
+    # fill's check, and one row-by-row test per check call: x0's of each
+    # epoch (all run, as the solve converged) and each batch's
+    assert calls["_fits"] == 3 + r.epochs + batches
+    assert [k for name, k in log if name == "_fits" and k is not None] == rows
     assert (calls["grad"], calls["eval"]) == (0, 1)
     assert (calls["membership"], calls["waterfill"]) == (2, 1)
 

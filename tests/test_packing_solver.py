@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drsubmax import (ObjectiveSpec, PackingSolverConfig, add_box_rows,
-                      grid_fractional_opt, normalize_packing,
-                      solve_packing_monotone, solve_packing_nonmonotone)
+                      grid_fractional_opt, normalize_packing, solve_single,
+                      solve_packing_monotone, solve_packing_nonmonotone,
+                      solve_with_guessing)
 from drsubmax import packing_solver
 from drsubmax.matroid_solver import iteration_budget
 from drsubmax.packing_solver import (iteration_cap_monotone,
-                                     iteration_cap_nonmonotone)
+                                     iteration_cap_nonmonotone,
+                                     solve_packing_guesses)
 from drsubmax.report import (CONVERGED, GUESS_REJECTED, ITERATION_CAP,
                              InvariantViolation)
 
@@ -171,11 +173,32 @@ def test_nonmonotone_box_only_cut_example():
     assert r.feasible
 
 
-def test_nonmonotone_requires_box_rows():
-    obj = ObjectiveSpec.directed_cut(2, [(0, 1, 1.0)])
-    inst = normalize_packing(np.eye(2), EPS)
-    with pytest.raises(ValueError, match="box"):
-        solve_packing_nonmonotone(obj, inst, PackingSolverConfig(eps=EPS, M=1.0))
+def test_nonmonotone_adds_its_own_box_rows():
+    # an unboxed instance gives the boxed instance's reports, byte for byte,
+    # through every non-monotone entry point.  Every column max is at
+    # least 1, the box rows' entry, so the ladder's lower end, which reads
+    # the column maxima of the instance as given, is the same for both
+    obj = ObjectiveSpec.directed_cut(3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 0.5)])
+    inst = normalize_packing([[1.0, 1.5, 0.0], [0.0, 0.4, 1.2]], EPS)
+    boxed = add_box_rows(inst)
+    cfg = PackingSolverConfig(eps=EPS, M=1.0, max_iterations=300)
+
+    def solves(c):
+        yield solve_packing_nonmonotone(obj, c, cfg)
+        yield from solve_packing_guesses(obj, c, EPS, [0.5, 1.0, 2.0],
+                                         monotone=False, max_iterations=300)
+        yield solve_single(obj, c, EPS, 1.0, monotone=False,
+                           max_iterations=300)
+        yield solve_with_guessing(obj, c, EPS, max_iterations=300)
+
+    def report_bytes(r):
+        return (json.dumps(r.to_dict(), sort_keys=True).encode()
+                + r.solution.tobytes())
+
+    got = [report_bytes(r) for r in solves(inst)]
+    assert got == [report_bytes(r) for r in solves(boxed)]
+    assert len(got) == 6 and len(set(got)) > 1
+    assert (inst.m, inst.includes_box) == (2, False)  # left as it was
 
 
 def test_nonmonotone_with_monotone_objective():

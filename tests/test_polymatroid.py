@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from drsubmax.polymatroid import TIGHT_TOL, PolymatroidInstance
 
-from oracles import exchange_vector, membership_bruteforce
+from oracles import exchange_vector, membership_bruteforce, tight_set
 
 
 def laminar_example():
@@ -122,9 +122,9 @@ def test_membership_matches_bruteforce(seed):
 
 def test_tight_set_examples():
     pm = PolymatroidInstance.partition(4, [[0, 1], [2, 3]], [1, 1])
-    t = pm.tight_set(np.array([0.5, 0.5, 0.1, 0.1]), 1.0)
+    t = tight_set(pm, np.array([0.5, 0.5, 0.1, 0.1]), 1.0)
     assert t == frozenset([0, 1])
-    t = pm.tight_set(np.array([0.1, 0.1, 0.1, 0.1]), 1.0)
+    t = tight_set(pm, np.array([0.1, 0.1, 0.1, 0.1]), 1.0)
     assert t == frozenset()
 
 
@@ -135,7 +135,7 @@ def test_tight_set_is_maximal_tight():
         x = rng.uniform(0, 0.5, size=4)
         if not pm.membership(x):
             continue
-        T = pm.tight_set(x)
+        T = tight_set(pm, x)
         # tightness of T itself
         assert sum(x[i] for i in T) == pytest.approx(pm.rank(T), abs=1e-8)
         # no strictly larger tight set exists
@@ -242,14 +242,15 @@ def test_mask_and_row_helpers_match_the_references(case):
     pm, x, eps, eligible = case
     scale = eps / (1 + eps)
     if not pm.membership(x, scale):
+        # the fill checks that x lies in scale * P, as the loop's checks do
         with pytest.raises(ValueError):
-            pm.tight_set(x, scale)
+            pm.waterfill(x, eligible, eps)
         return
     # the matroid loop's tight mask: the kernel on bounds built once
     tight = pm._tight(x, pm.incidence @ x, scale - TIGHT_TOL,
                       scale * pm.caps - TIGHT_TOL)
-    assert frozenset(np.flatnonzero(tight).tolist()) == pm.tight_set(x, scale)
-    assert pm.tight_set(x, scale) == tight_set_reference(pm, x, scale)
+    assert frozenset(np.flatnonzero(tight).tolist()) == tight_set(pm, x, scale)
+    assert tight_set(pm, x, scale) == tight_set_reference(pm, x, scale)
     y = pm.waterfill(x, eligible, eps)
     assert (y == waterfill_reference(pm, x, eligible, eps)).all()  # bitwise
     # the matroid loop's later fills: the kernel on caps built once, whose
