@@ -106,8 +106,10 @@ def solve_with_guessing(obj: ObjectiveSpec,
         # singletons may violate Ax <= 1, so the ladder must reach below
         # m0.  The point t_i * e_i, t_i = min(1, (1-eps) / max_j A_ji), is
         # feasible, and F is multilinear with F(0) >= 0, so its value is
-        # at least t_i * f({i}).  Pinned and empty columns are left out.
-        colmax = constraint.A.max(axis=0, initial=0.0)  # A >= 0
+        # at least t_i * f({i}).  Pinned and empty columns and box rows
+        # (t_i <= 1 meets them) are left out.
+        m = constraint.m - constraint.n * constraint.includes_box
+        colmax = constraint.A[:m].max(axis=0, initial=0.0)  # A >= 0
         colmax[constraint.fixed_zero] = 0.0
         t = np.minimum(1.0, np.divide(1.0 - eps, colmax,
                                       out=np.zeros(constraint.n),

@@ -26,12 +26,13 @@ non-monotone ones) and raises InvariantViolation if it is not.
 
 Run-ahead.  While the eligible set E stays the same, each step is the
 fill with E from the state the last one reached.  So a pass builds a
-chain of up to k = RUN_AHEAD_ENTRIES // (n + incidences) states (at
-least one) in links of two kinds: a fill from the last state, and, after
-a fill that raised each coordinate i by exactly eps * x_i, the states
-that repeat that step, built as one block and cut at the first state
-whose fill would not (PolymatroidInstance._geometric_run), which takes a
-fill next.  An empty fill ends the chain.  The pass takes the states'
+chain of states in links of two kinds: a fill from the last state, and,
+after a fill that raised each coordinate i by exactly eps * x_i, the
+states that repeat that step, built as one block that ends at the first
+state whose fill would not (PolymatroidInstance._geometric_run), which
+takes a fill next.  An empty fill ends the chain, and so do k =
+RUN_AHEAD_ENTRIES // (n + incidences) states (at least one), a memory
+bound on the batch.  The pass takes the states'
 gradients and values in one batched kernel call each, runs one check
 function on every row, each against the row before it, as on x0 once per
 epoch, and accepts the rows up to the first from which the loop would
@@ -59,8 +60,9 @@ from .report import (CONVERGED, GUESS_REJECTED, ITERATION_CAP,
                      check_params, finite_cap)
 
 ITER_BUDGET_K = 64
-# a batch's gradient call touches at most RUN_AHEAD_ENTRIES entries
-RUN_AHEAD_ENTRIES = 4096
+# a memory bound: a batch's gradient call touches at most
+# RUN_AHEAD_ENTRIES entries, 512 KiB of floats
+RUN_AHEAD_ENTRIES = 1 << 16
 
 
 @dataclass
@@ -111,8 +113,6 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
     caps_hi, caps_lo = caps + TIGHT_TOL, caps - TIGHT_TOL
     fill_caps = caps.tolist()
 
-    # a batch is the at most k states a pass's chain reaches, with one
-    # gradient row each, k * (n + incidences) entries at most
     k = max(1, RUN_AHEAD_ENTRIES // (n + obj._incidences()))
 
     def check(X, S, C, tight, v2):
@@ -184,10 +184,8 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
             eligible = eligible_mask.nonzero()[0].tolist()  # ascending
 
             # the step's fill and up to k - 1 more with the same eligible
-            # set E, each from the set sums of the state it starts from, in
-            # links: a fill, and after one that raised each coordinate i by
-            # exactly eps * x_i, the states that repeat it; an empty fill
-            # ends the chain
+            # set E, each from its state's set sums, in links: a fill, or a
+            # geometric run after it; an empty fill ends the chain
             states, state_sums = [], []  # blocks of rows
             x, sums, reached = X[r], S[r], 0
             while reached < k:

@@ -35,9 +35,9 @@ LINEAR = "linear"
 SAMPLED = "sampled-set-function"
 
 # the _copies kept besides the newest hold at most this many entries
-# (rows * (n + incidences)): the sizes the matroid batches repeat (the full
-# batch and the few lengths of chains a saturating fill cuts short) fit,
-# while a packing ladder, whose live count only falls, keeps about one
+# (rows * (n + incidences)): the few chain lengths a matroid solve meets
+# again (where its fills stop, epoch after epoch) fit, while a packing
+# ladder, whose live count only falls, keeps about one
 COPIES_KEPT_ENTRIES = 1 << 14
 
 

@@ -213,25 +213,25 @@ class PolymatroidInstance:
         exactly eps * x_i, then the states that repeat the step for as long
         as `_step_fill` would, at most `room` rows in all, with their set
         sums.  A fill repeats the step while each i of `raised` has
-        eps * x_i within scale - x_i and within the residual of each of its
-        sets after the steps before it there, `_fill`'s sequential sums,
-        here a cumsum; the other eligible coordinates stay put, as their
-        bounds are fixed and their residuals only shrink.  caps is
-        scale * self.caps."""
-        values = []
+        eps * x_i within scale - x_i, where its recurrence stops, and within
+        the residual of each of its sets after the steps before it there,
+        `_fill`'s sequential sums, here a cumsum; the other eligible
+        coordinates stay put, as their bounds are fixed and their residuals
+        only shrink.  caps is scale * self.caps."""
+        scale, values = eps / (1.0 + eps), []
         for v in x[raised].tolist():  # _fill's x_i + eps * x_i, in floats
             values.append(column := [v])
-            for _ in range(room - 1):
+            while len(column) < room and eps * v <= scale - v:
                 v += eps * v
                 column.append(v)
-        V = np.array(values).T  # the raised values of each row
+            room = len(column)  # the block ends here or sooner
+        V = np.array([column[:room] for column in values]).T
         X = np.repeat(x[None], room, axis=0)
         X[:, raised] = V
         S = self._sums(X)
-        # the fills from each row but the last
-        V, starts = V[:-1], S[:-1]
-        steps = eps * V
-        repeats = (steps <= eps / (1.0 + eps) - V).all(axis=1)
+        # the fills from each row but the last, each within its own bound
+        steps, starts = eps * V[:-1], S[:-1]
+        repeats = np.ones(room - 1, dtype=bool)
         raised_in = {}
         for c, i in enumerate(raised):
             for r in self.rows_of[i]:

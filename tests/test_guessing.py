@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -378,3 +379,19 @@ def test_packing_ladder_setup_evaluates_no_points(monkeypatch):
     solve_with_guessing(obj, inst, 0.05)
     assert len(calls) == 1 and len(calls[0]) > 1
     assert batches == []
+
+
+@pytest.mark.parametrize("arcs", [[(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)],
+                                  [(0, 2, 2.0), (1, 0, 0.5)]])
+def test_boxed_and_unboxed_ladders_report_the_same_bytes(arcs):
+    # every column's max is below 1, so box rows would lower t_i to 0.95
+    # and the ladder's lower end with it, were they read
+    obj = ObjectiveSpec.directed_cut(3, arcs)
+    inst = normalize_packing([[0.5, 0.6, 0.0], [0.0, 0.4, 0.8]], 0.05)
+    unboxed, boxed = (
+        solve_with_guessing(obj, c, 0.05, monotone=False, max_iterations=300)
+        for c in (inst, add_box_rows(inst)))
+    assert len(unboxed.guess_trace) == len(boxed.guess_trace)
+    assert (json.dumps(unboxed.to_dict(), sort_keys=True)
+            == json.dumps(boxed.to_dict(), sort_keys=True))
+    assert unboxed.solution.tobytes() == boxed.solution.tobytes()

@@ -417,6 +417,28 @@ def test_geometric_run_ends_at_the_first_bound(pm, x, eligible, rows, cut):
     assert cut(x, pm._sums(x), scale)
 
 
+@pytest.mark.parametrize("pm, x", [
+    # x_0's own bound scale - x_0 ends the run
+    (PolymatroidInstance.uniform(2, 2), [1e-3, 0.0]),
+    # the set's residual ends it sooner, within the rows built
+    (PolymatroidInstance.uniform(2, 1), [1e-3, 0.02]),
+], ids=["scale-bound", "set-residual"])
+def test_geometric_run_builds_no_row_past_its_own_bound(pm, x, monkeypatch):
+    # a room far beyond the run: the block holds the rows up to the first
+    # that fails eps * x_0 <= scale - x_0, not the room
+    scale = EPS / (1 + EPS)
+    x = np.array(x)
+    x[0] += EPS * x[0]  # a fill raised x_0 by exactly eps * x_0
+    rows, v = 1, x[0]
+    while EPS * v <= scale - v:
+        rows, v = rows + 1, v + EPS * v
+    built, sums = [], PolymatroidInstance._sums
+    monkeypatch.setattr(PolymatroidInstance, "_sums",
+                        lambda self, X: built.append(len(X)) or sums(self, X))
+    X, _ = pm._geometric_run(x, [0], EPS, scale * pm.caps, 10_000)
+    assert built == [rows] and len(X) <= rows
+
+
 class _ClampedKernels:
     """An objective whose interior kernels are its clamped ones, as the
     matroid loop sees it; every other attribute is the objective's own."""
@@ -464,11 +486,12 @@ def _outcome(solve, *args):
 
 def _same_as_stepwise(obj, pm, M, cap, monotone):
     """The solve's outcome, the one-step loop's for every batch length:
-    one step per batch (k = 1), short chains and the default."""
+    one step per batch (k = 1), short chains, the old 4,096-entry bound
+    and the default."""
     cfg = MatroidSolverConfig(eps=EPS, M=M, max_iterations=cap)
     solve = solve_matroid_monotone if monotone else solve_matroid_nonmonotone
     want = _outcome(stepwise_matroid_solve, obj, pm, cfg, monotone)
-    for entries in (1, 100, matroid_solver.RUN_AHEAD_ENTRIES):
+    for entries in (1, 100, 4096, matroid_solver.RUN_AHEAD_ENTRIES):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(matroid_solver, "RUN_AHEAD_ENTRIES", entries)
             assert _outcome(solve, obj, pm, cfg) == want, entries
