@@ -33,9 +33,10 @@ def brute_force_matroid_opt(obj: ObjectiveSpec,
                             pm: PolymatroidInstance) -> OracleResult:
     """Max exact set value over all independent 0/1 vectors of pm.
 
-    For matroid constraints this equals the fractional optimum of the
-    multilinear relaxation (lossless rounding), so it is a valid reference
-    for fractional solver output too.
+    When every cap of pm is an integer, pm is a matroid polytope and this
+    equals the fractional optimum of the multilinear relaxation (lossless
+    rounding), so it is a valid reference for fractional solver output
+    too.  With other caps it can fall below that optimum.
     """
     n = pm.n
     if n > MAX_SUBSET_ENUM_N:

@@ -298,12 +298,17 @@ def _solve(args):
         if not isinstance(constraint, cls):
             raise InstanceError(f"constraint.type: {args.command} needs a "
                                 f"{name} constraint")
-    # verify's exhaustive oracle has a size limit: checked before the solve
-    limit = (MAX_GRID_N if isinstance(constraint, PackingInstance)
-             else MAX_SUBSET_ENUM_N)
+    # verify's exhaustive oracle has a size limit, and its enumeration of
+    # 0/1 sets finds the optimum only under integral caps: checked before
+    # the solve
+    packing = isinstance(constraint, PackingInstance)
+    limit = MAX_GRID_N if packing else MAX_SUBSET_ENUM_N
     if args.command == "verify" and constraint.n > limit:
         raise InstanceError(f"constraint.n: verify's oracle supports "
                             f"n <= {limit}, got {constraint.n}")
+    if args.command == "verify" and not packing and np.any(constraint.caps % 1):
+        raise InstanceError(f"constraint: verify's oracle needs integral "
+                            f"caps, got {constraint.caps.tolist()}")
     monotone = _resolve_monotone(args.monotone, obj)
     try:
         # the size limits that depend on eps and on the solver variant (the

@@ -2,14 +2,15 @@
 
 The solvers need M with M <= f(x*) <= (1+eps)M.  The max singleton value
 m0 is an n-approximation, so the geometric ladder m0*(1+eps)^k for
-k = 0..ceil(2 ln n / eps) contains a valid guess.  Under packing
-constraints a singleton may be infeasible, so the ladder also reaches
-down to m_low, a lower bound on a feasible point's value, taken from the
-singleton values.  All guesses run independently, so the combined
-adaptivity is one singleton batch plus the max over guesses.  Packing
-guesses run in lockstep, as one batched state advanced one iteration at
-a time (packing_solver.solve_packing_guesses); matroid guesses run one
-after another, since their water-fill is sequential.
+k = 0..ceil(2 ln n / eps) contains a valid guess when singletons are
+feasible.  A singleton may violate a packing row or a polymatroid cap
+below 1, so the ladder also reaches down to m_low, a lower bound on a
+feasible point's value, taken from the singleton values.  All guesses
+run independently, so the combined adaptivity is one singleton batch
+plus the max over guesses.  Packing guesses run in lockstep, as one
+batched state advanced one iteration at a time
+(packing_solver.solve_packing_guesses); matroid guesses run one after
+another, since their water-fill is sequential.
 """
 
 from __future__ import annotations
@@ -39,11 +40,11 @@ def build_ladder(obj: ObjectiveSpec, eps: float,
 
     The top guess is at least n^(2 ln(1+eps)/eps) * m0, about n^1.95 * m0
     at eps = 0.05, above the n * m0 that bounds the optimum.  m0 only
-    lower-bounds the optimum when singletons are feasible (the matroid
-    case).  Under packing constraints they may not be, so callers can pass
-    `m_low`, a lower bound on the value of some feasible point, and k then
-    starts at -ceil(ln(m0 / m_low) / ln(1+eps)).  A ladder of more than
-    MAX_LADDER_GUESSES guesses raises ValueError before it is built.
+    lower-bounds the optimum when singletons are feasible.  They may not
+    be, so callers can pass `m_low`, a lower bound on the value of some
+    feasible point, and k then starts at -ceil(ln(m0 / m_low) /
+    ln(1+eps)).  A ladder of more than MAX_LADDER_GUESSES guesses raises
+    ValueError before it is built.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -101,20 +102,21 @@ def solve_with_guessing(obj: ObjectiveSpec,
     """
     if monotone is None:
         monotone = obj.monotone
-    m_low = None
+    # singletons may violate Ax <= 1 or a cap below 1, so the ladder must
+    # reach below m0.  The point t_i * e_i is feasible, and F is
+    # multilinear with F(0) >= 0, so its value is at least t_i * f({i})
     if isinstance(constraint, PackingInstance):
-        # singletons may violate Ax <= 1, so the ladder must reach below
-        # m0.  The point t_i * e_i, t_i = min(1, (1-eps) / max_j A_ji), is
-        # feasible, and F is multilinear with F(0) >= 0, so its value is
-        # at least t_i * f({i}).  Pinned and empty columns and box rows
-        # (t_i <= 1 meets them) are left out.
+        # t_i = min(1, (1-eps) / max_j A_ji); pinned and empty columns and
+        # box rows (t_i <= 1 meets them) are left out
         m = constraint.m - constraint.n * constraint.includes_box
         colmax = constraint.A[:m].max(axis=0, initial=0.0)  # A >= 0
         colmax[constraint.fixed_zero] = 0.0
         t = np.minimum(1.0, np.divide(1.0 - eps, colmax,
                                       out=np.zeros(constraint.n),
                                       where=colmax > 0))
-        m_low = float((t * obj.singleton_values()).max(initial=0.0))
+    else:
+        t = constraint.singleton_ranks()  # t_i = r({i})
+    m_low = float((t * obj.singleton_values()).max(initial=0.0))
     guesses = build_ladder(obj, eps, m_low=m_low)
     if not guesses:
         zero = np.zeros(obj.n)

@@ -12,17 +12,8 @@ membership test of the initial point and the public water-fill of the
 first step; the loop then calls the unchecked kernels on the states it
 builds, each with its set sums computed once for its checks and fill.
 
-The loop calls the clamp-free interior oracle kernels (objective.py), as
-every point it evaluates lies in [0, 1)^n.  x stays at most x_hi =
-eps/(1+eps) + TIGHT_TOL: the initial point is checked into
-(eps/(1+eps))*P, and the fill raises x_i by at most eps/(1+eps) - x_i.
-Gradients are taken at (1+eps)*x + z or (1-z)(1+eps)*x + z, values at
-the smaller x + z or (1-z)*x + z, so, rounding being monotone, all lie
-below (1+eps)*x_hi + max z or (1-z)(1+eps)*x_hi + z computed in the same
-floating-point operations.  Each epoch checks once that this bound is
-below 1 (by the epoch recurrences it is about (1+eps^2)/(1+eps) at most
-for monotone runs, and eps + (1-eps)*z below the damping bound for
-non-monotone ones) and raises InvariantViolation if it is not.
+The loop calls the clamped oracle kernels (objective.py), as the packing
+loop does.
 
 Run-ahead.  While the eligible set E stays the same, each step is the
 fill with E from the state the last one reached.  So a pass builds a
@@ -139,21 +130,15 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
         # the gradient at the future points of the rows of X, and the
         # values at the points of the rows of Y
         if monotone:
-            grad = lambda X: obj._interior_grad((1.0 + eps) * X + z)
-            values = lambda Y: obj._interior_values(Y + z)
+            grad = lambda X: obj._clamped_grad((1.0 + eps) * X + z)
+            values = lambda Y: obj._values(Y + z)
             threshold = eps * ((1.0 - 10.0 * eps) * M)
-            top = (1.0 + eps) * x_hi + float(z.max(initial=0.0))
         else:
             damp = 1.0 - z  # fixed for the epoch
             damp_eps = damp * (1.0 + eps)
-            grad = lambda X: damp * obj._interior_grad(damp_eps * X + z)
-            values = lambda Y: obj._interior_values(damp * Y + z)
+            grad = lambda X: damp * obj._clamped_grad(damp_eps * X + z)
+            values = lambda Y: obj._values(damp * Y + z)
             threshold = eps * (((1.0 - eps / (1.0 + eps)) ** j - 10.0 * eps) * M)
-            top = float((damp_eps * x_hi + z).max(initial=0.0))
-        # a bound on every coordinate of the points the epoch evaluates
-        if not top < 1.0:
-            raise InvariantViolation(
-                f"epoch {j}: evaluation points may reach {top} >= 1")
 
         # the loop's state is row r of the batch X, with its set sums S[r],
         # gradient C[r] and checks; each epoch starts from x0
@@ -249,7 +234,7 @@ def _solve(obj, pm, cfg, monotone: bool) -> SolveReport:
         if termination != CONVERGED:
             break
 
-    value = obj.eval(np.minimum(z, 1.0))
+    value = obj.eval(z)
     feasible = pm.membership(z, 1.0)
     if not feasible:
         raise InvariantViolation("returned solution is outside the polymatroid")
@@ -280,12 +265,9 @@ def _buckets(v1s: np.ndarray, eps: float) -> np.ndarray:
 
 
 def _initial_point(pm, n, eps, D, scale) -> np.ndarray:
-    """eps^2/(nD) * 1, zeroed on rank-0 coordinates and shrunk into scale*P.
-
-    r({i}) = 0 exactly when a family set that holds i has cap 0.
-    """
+    """eps^2/(nD) * 1, zeroed on rank-0 coordinates and shrunk into scale*P."""
     x0 = np.full(n, eps * eps / (n * D))
-    x0[[any(pm.caps[r] <= 0 for r in rows) for rows in pm.rows_of]] = 0.0
+    x0[pm.singleton_ranks() <= 0] = 0.0
     if not pm.membership(x0, scale):
         x0 *= pm.fit_factor(x0, scale) * (1.0 - 1e-12)
     return x0

@@ -9,15 +9,13 @@ formula over all universe items or arcs.
 Values are extended beyond [0,1]^n by clamping at 1 (f(x) = f(x ^ 1)); the
 gradient of a clamped coordinate is 0.
 
-Each oracle has three layers: the public method (`eval`, `eval_many`,
-`grad`, `grad_many`) checks the point; the clamped kernel (`_values`,
+Each oracle has two layers: the public method (`eval`, `eval_many`,
+`grad`, `grad_many`) checks the point, then the kernel (`_values`,
 `_clamped_grad`) clamps it at 1, and coverage's gradient also handles a
-zero complement there; the interior kernel (`_interior_values`,
-`_interior_grad`) is the formula alone, valid on [0, 1)^n.  Below 1 all
-three give the same bits.  The constructors have already rejected
-negative or non-finite weights.  The packing loop calls the clamped
-kernels; the matroid loop, whose points provably lie in [0, 1)^n, calls
-the interior ones.
+zero complement there.  Below 1 both kernels skip the clamp, and the
+gradient runs the formula alone (`_interior_grad`).  The constructors
+have already rejected negative or non-finite weights.  Both solver loops
+call the kernels.
 """
 
 from __future__ import annotations
@@ -188,16 +186,16 @@ class ObjectiveSpec:
         return rng.random((self.samples, self.n)) < x
 
     def _values(self, X: np.ndarray) -> np.ndarray:
-        """F at each row of a checked (k, n) matrix X, clamped at 1."""
-        return self._interior_values(np.minimum(X, 1.0))
-
-    def _interior_values(self, X: np.ndarray) -> np.ndarray:
-        """F at each row of a C-ordered (k, n) matrix X in [0, 1]^n.
+        """F at each row of a checked (k, n) matrix X, clamped at 1.
 
         Row i is F(X[i]) exactly, whatever k: each closed form ends in a
         row-by-row dot product of C-ordered rows, whose rounding does not
         depend on the other rows (a matrix product's may).
         """
+        # the clamp copies X only where it changes it: on a large batch
+        # the copy costs more than the test
+        if np.maximum.reduce(X, axis=None, initial=0.0) > 1.0:
+            X = np.minimum(X, 1.0)
         if self.kind == LINEAR:
             return np.vecdot(X, self.weights)
         if self.kind == COVERAGE:

@@ -134,6 +134,11 @@ class PolymatroidInstance:
             sorted(S), [1.0] * self.n, [0.0] * self.caps.size,
             self.caps.tolist())).sum())
 
+    def singleton_ranks(self) -> np.ndarray:
+        """r({i}) for each i: the least of 1 and the caps of i's sets."""
+        return np.where(self.incidence > 0, self.caps[:, None],
+                        1.0).min(axis=0, initial=1.0)
+
     # -- membership and tight sets ---------------------------------------
 
     def membership(self, x, scale: float = 1.0, tol: float = TIGHT_TOL) -> bool:
@@ -158,8 +163,7 @@ class PolymatroidInstance:
 
     # -- water-filling ----------------------------------------------------
 
-    def waterfill(self, x, eligible: Iterable[int], eps: float,
-                  tol: float = TIGHT_TOL) -> np.ndarray:
+    def waterfill(self, x, eligible: Iterable[int], eps: float) -> np.ndarray:
         """Sequential maximal increase of Algorithm-style updates.
 
         Coordinates are processed in ascending index order.  For eligible i,
@@ -170,7 +174,7 @@ class PolymatroidInstance:
         x = self._vec(x)
         caps = scale * self.caps
         sums = self._sums(x)
-        if not self._fits(x, sums, scale + tol, caps + tol):
+        if not self._fits(x, sums, scale + TIGHT_TOL, caps + TIGHT_TOL):
             raise ValueError("(1+eps) * x is not in eps * P")
         return self._dense(*self._step_fill(x, sorted(set(eligible)), sums,
                                             eps, caps.tolist()))

@@ -254,18 +254,13 @@ def stepwise_matroid_solve(obj: ObjectiveSpec, pm: PolymatroidInstance, cfg,
     termination = CONVERGED
     for j in range(epochs):
         if monotone:
-            g = lambda v: float(obj._interior_values((v + z)[None])[0])
+            g = lambda v: float(obj._values((v + z)[None])[0])
             threshold = eps * ((1.0 - 10.0 * eps) * M)
-            top = (1.0 + eps) * x_hi + float(z.max(initial=0.0))
         else:
             damp = 1.0 - z
             damp_eps = damp * (1.0 + eps)
-            g = lambda v: float(obj._interior_values((damp * v + z)[None])[0])
+            g = lambda v: float(obj._values((damp * v + z)[None])[0])
             threshold = eps * (((1.0 - eps / (1.0 + eps)) ** j - 10.0 * eps) * M)
-            top = float((damp_eps * x_hi + z).max(initial=0.0))
-        if not top < 1.0:
-            raise InvariantViolation(
-                f"epoch {j}: evaluation points may reach {top} >= 1")
         xt = x0.copy()
         g0 = g(x0)
         rounds += 1
@@ -278,9 +273,9 @@ def stepwise_matroid_solve(obj: ObjectiveSpec, pm: PolymatroidInstance, cfg,
                 termination = ITERATION_CAP
                 break
             if monotone:
-                c = obj._interior_grad((1.0 + eps) * xt + z)
+                c = obj._clamped_grad((1.0 + eps) * xt + z)
             else:
-                c = damp * obj._interior_grad(damp_eps * xt + z)
+                c = damp * obj._clamped_grad(damp_eps * xt + z)
             sums = pm._sums(xt)
             if not pm._fits(xt, sums, x_hi, caps_hi):
                 raise ValueError("x is not in scale * P")
@@ -325,7 +320,7 @@ def stepwise_matroid_solve(obj: ObjectiveSpec, pm: PolymatroidInstance, cfg,
             notes.append(f"epoch {j}: no improvable coordinate before the gain target")
         if termination != CONVERGED:
             break
-    value = obj.eval(np.minimum(z, 1.0))
+    value = obj.eval(z)
     feasible = pm.membership(z, 1.0)
     if not feasible:
         raise InvariantViolation("returned solution is outside the polymatroid")

@@ -207,6 +207,44 @@ def test_verify_rejects_instances_too_large_for_its_oracle(
     assert err.startswith("error: constraint.n:") and match in err
 
 
+@pytest.mark.parametrize("constraint", [
+    {"kind": "uniform", "n": 3, "k": 1.5},
+    {"kind": "partition", "n": 3, "parts": [[0], [1, 2]], "caps": [1, 0.5]},
+], ids=["uniform", "partition"])
+def test_verify_rejects_caps_its_oracle_cannot_score(monkeypatch, tmp_path,
+                                                     capsys, constraint):
+    # under uniform(3, 1.5) the best 0/1 set is worth 2, the fractional
+    # optimum (1/2, 1, 0) 2.5: the set oracle would score a wrong ratio
+    def never(*args, **kwargs):
+        pytest.fail("verify solved an instance its oracle cannot check")
+    monkeypatch.setattr(drsubmax.cli, "solve_with_guessing", never)
+    inst = {"objective": {"kind": "coverage", "weights": [1.0, 2.0, 1.0],
+                          "covers": [[0], [1], [2]]},
+            "constraint": {"type": "polymatroid", **constraint}, "eps": 0.05}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst))
+    assert main(["verify", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: constraint: verify's oracle needs integral caps")
+
+
+def test_verify_ladder_starts_below_an_infeasible_best_singleton(tmp_path,
+                                                                 capsys):
+    # element 0 is worth 10 but sits in a part of cap 0; the optimum is 1
+    inst = {"objective": {"kind": "coverage", "weights": [10.0, 1.0, 1.0],
+                          "covers": [[0], [1], [2]]},
+            "constraint": {"type": "polymatroid", "kind": "partition", "n": 3,
+                           "parts": [[0], [1, 2]], "caps": [0, 1]},
+            "eps": 0.05}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst))
+    assert main(["verify", str(path)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["opt"] == 1.0
+    assert rep["ratio"] >= 1 - 2.718281828 ** -1 - 0.05
+
+
 def _refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import drsubmax.guessing
 import drsubmax.packing_solver
@@ -395,3 +397,52 @@ def test_boxed_and_unboxed_ladders_report_the_same_bytes(arcs):
     assert (json.dumps(unboxed.to_dict(), sort_keys=True)
             == json.dumps(boxed.to_dict(), sort_keys=True))
     assert unboxed.solution.tobytes() == boxed.solution.tobytes()
+
+
+CAPS = [0.0, 0.25, 0.5, 1.0, 2.0]
+
+
+@st.composite
+def capped_families(draw):
+    """A polymatroid with caps from CAPS and a linear or coverage objective
+    on n <= 5 elements."""
+    n = draw(st.integers(1, 5))
+    cap = st.sampled_from(CAPS)
+    kind = draw(st.sampled_from(["uniform", "partition", "laminar"]))
+    if kind == "uniform":
+        pm = PolymatroidInstance.uniform(n, draw(cap))
+    elif kind == "partition":
+        owner = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        parts = [[i for i in range(n) if owner[i] == p] for p in set(owner)]
+        pm = PolymatroidInstance.partition(n, parts, [draw(cap) for _ in parts])
+    else:
+        a = draw(st.integers(1, n))
+        pm = PolymatroidInstance.laminar(
+            n, [range(n), range(a), [n - 1]], [draw(cap) for _ in range(3)])
+    weight = st.sampled_from([0.0, 0.5, 1.0, 3.0, 10.0])
+    if draw(st.booleans()):
+        obj = ObjectiveSpec.linear([draw(weight) for _ in range(n)])
+    else:
+        obj = ObjectiveSpec.coverage(
+            [draw(weight) for _ in range(n)],
+            draw(st.lists(st.lists(st.integers(0, n - 1), max_size=2),
+                          min_size=n, max_size=n)))
+    return obj, pm
+
+
+@given(capped_families())
+@settings(max_examples=40, deadline=None)
+def test_polymatroid_ladder_starts_at_a_feasible_singleton(case):
+    # r_i e_i is in P, r_i = r({i}), and its value r_i f({i}) lower-bounds
+    # the optimum: the ladder's lowest guess is at most the best of them
+    obj, pm = case
+    r = pm.singleton_ranks()
+    for i in range(pm.n):
+        assert pm.membership(r[i] * np.eye(pm.n)[i])
+        assert r[i] == pm.rank({i})
+    floor = float((r * obj.singleton_values()).max())
+    report = solve_with_guessing(obj, pm, 0.05, max_iterations=2)
+    if floor > 0:
+        assert report.guess_trace[0][0] <= floor
+    else:  # no feasible point has a positive value
+        assert report.value == 0.0

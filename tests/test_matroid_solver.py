@@ -230,12 +230,11 @@ def test_loop_calls_the_oracle_kernels(monkeypatch):
     # each epoch makes one gradient, one value and one tight-set call on x0,
     # and each batch one of each on all the states its fills reach, so the
     # loop makes no value call of its own; the fill stays sparse.  The
-    # clamped and public (checked) methods run only at the boundary: the
-    # initial point, the first fill and the solution
+    # public (checked) methods run only at the boundary: the initial point,
+    # the first fill and the solution
     log = []
-    for cls, names in ((ObjectiveSpec, ("_interior_grad", "_interior_values",
-                                        "_clamped_grad", "_values",
-                                        "grad", "eval")),
+    for cls, names in ((ObjectiveSpec, ("_clamped_grad", "_values", "grad",
+                                        "eval")),
                        (PolymatroidInstance, ("_fits", "_tight", "_step_fill",
                                               "_dense", "membership",
                                               "waterfill"))):
@@ -253,17 +252,16 @@ def test_loop_calls_the_oracle_kernels(monkeypatch):
     assert r.termination == CONVERGED
 
     calls = Counter(name for name, _ in log)
-    # the interior kernels and the tight sets, in threes of one row count:
+    # the oracle kernels and the tight sets, in threes of one row count:
     # x0's at the top of each epoch, then a batch's; the last value call is
     # the final eval's
     oracle = [entry for entry in log
-              if entry[0] in ("_interior_grad", "_interior_values", "_tight")]
-    assert oracle.pop() == ("_interior_values", 1)
+              if entry[0] in ("_clamped_grad", "_values", "_tight")]
+    assert oracle.pop() == ("_values", 1)
     rows = []
     for i in range(0, len(oracle), 3):
         (grad, k), (value, k_value), (tight, k_tight) = oracle[i:i + 3]
-        assert (grad, value, tight) == ("_interior_grad", "_interior_values",
-                                        "_tight")
+        assert (grad, value, tight) == ("_clamped_grad", "_values", "_tight")
         assert k == k_value == k_tight
         rows.append(k)
     # one row only at x0: no 1-row value call inside the loop
@@ -271,9 +269,6 @@ def test_loop_calls_the_oracle_kernels(monkeypatch):
     batches = len(rows) - r.epochs
     assert 0 < batches < r.inner_iterations / 10
     assert sum(rows) - r.epochs >= r.inner_iterations
-    assert calls["_clamped_grad"] == 0
-    # the final value by eval, which clamps, then runs the interior kernel
-    assert calls["_values"] == 1
     # the fill stays sparse; only the first, checked fill is made dense
     assert calls["_dense"] == 1
     # the initial point's and the solution's membership tests, the first
@@ -439,39 +434,9 @@ def test_geometric_run_builds_no_row_past_its_own_bound(pm, x, monkeypatch):
     assert built == [rows] and len(X) <= rows
 
 
-class _ClampedKernels:
-    """An objective whose interior kernels are its clamped ones, as the
-    matroid loop sees it; every other attribute is the objective's own."""
-
-    def __init__(self, obj):
-        self.obj = obj
-
-    def __getattr__(self, name):
-        return getattr(self.obj, name)
-
-    def _interior_grad(self, X):
-        return self.obj._clamped_grad(X)
-
-    def _interior_values(self, X):
-        return self.obj._values(X)
-
-
 def _report_bytes(r):
     return (json.dumps(r.to_dict(), sort_keys=True).encode()
             + r.solution.tobytes())
-
-
-@given(matroid_cases())
-@settings(max_examples=30, deadline=None)
-def test_interior_kernels_solve_as_the_clamped_ones(case):
-    # the loop's points lie in [0, 1)^n, where the clamp changes nothing:
-    # the same solve on the clamped kernels gives the same bytes
-    obj, pm = case
-    M = max(brute_force_matroid_opt(obj, pm).value, 1e-9)
-    solve = solve_matroid_monotone if obj.monotone else solve_matroid_nonmonotone
-    cfg = MatroidSolverConfig(eps=EPS, M=M)
-    assert (_report_bytes(solve(obj, pm, cfg))
-            == _report_bytes(solve(_ClampedKernels(obj), pm, cfg)))
 
 
 def _outcome(solve, *args):
@@ -561,12 +526,12 @@ def test_lost_tight_coordinates_raise_as_in_the_stepwise_loop(monkeypatch):
 @pytest.mark.parametrize("kernel, fault, message", [
     # a value that halves once the point sums past 0.05: the step there
     # finds the objective decreased
-    ("_interior_values",
+    ("_values",
      lambda X, V: np.where(X.sum(axis=-1) > 0.05, 0.5 * V, V),
      "objective decreased within an epoch"),
     # a gradient that doubles there: v2 rises while the eligible set, the
     # coordinates within a factor 1 + eps of the top, stays the same
-    ("_interior_grad",
+    ("_clamped_grad",
      lambda X, G: np.where(X.sum(axis=-1, keepdims=True) > 0.05, 2.0 * G, G),
      "bucket value v2 increased within an epoch"),
 ], ids=["value-falls", "v2-rises"])
@@ -582,19 +547,6 @@ def test_faulty_kernels_raise_as_in_the_stepwise_loop(kernel, fault, message,
     pm = PolymatroidInstance.uniform(4, 3)
     assert _same_as_stepwise(obj, pm, 3.0, None, True) == (
         "InvariantViolation", message)
-
-
-@pytest.mark.parametrize("obj, solve", [
-    (ObjectiveSpec.coverage([1, 1], [[0], [1]]), solve_matroid_monotone),
-    (ObjectiveSpec.directed_cut(2, [(0, 1, 1.0)]), solve_matroid_nonmonotone),
-], ids=["monotone", "non-monotone"])
-def test_epoch_domain_bound_past_one_raises(obj, solve, monkeypatch):
-    # a tolerance this wide lets x reach 1 / (1 + eps): the epoch's bound
-    # on its evaluation points is then at least 1, before anything runs
-    monkeypatch.setattr(matroid_solver, "TIGHT_TOL", 1.0 / (1.0 + EPS))
-    pm = PolymatroidInstance.uniform(2, 1)
-    with pytest.raises(InvariantViolation, match="epoch 0: evaluation points"):
-        solve(obj, pm, MatroidSolverConfig(eps=EPS, M=1.0))
 
 
 def test_single_guess_needs_a_nonempty_ground_set():
